@@ -75,16 +75,21 @@ def _clamp(value: float) -> float:
     return max(-1.0, min(1.0, value))
 
 
+def _legs(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
+    """(R^2, OP^2, OQ^2, PQ^2), the squared legs of the triangle POQ."""
+    r_sq = kernel.circumradius_sq(sides)
+    op_sq = r_sq - kernel.circum_power(p, sides)
+    oq_sq = r_sq - kernel.circum_power(q, sides)
+    return r_sq, op_sq, oq_sq, kernel.dist_sq_between(p, q, sides)
+
+
 def general_cos_parts(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
     """Numerator and squared denominator of cos POQ, as rational expressions.
 
     Returns (numerator, radicand) with cos = numerator / sqrt(radicand); both
     stay exact for rational input.
     """
-    r_sq = kernel.circumradius_sq(sides)
-    op_sq = r_sq - kernel.circum_power(p, sides)
-    oq_sq = r_sq - kernel.circum_power(q, sides)
-    pq_sq = kernel.dist_sq_between(p, q, sides)
+    _, op_sq, oq_sq, pq_sq = _legs(p, q, sides)
     return op_sq + oq_sq - pq_sq, 4 * op_sq * oq_sq
 
 
@@ -94,10 +99,7 @@ def cos_angle_at_circumcenter(p: BaryPoint, q: BaryPoint, sides: TriangleSides) 
     A numerically vanishing leg is reported as classification "undefined"
     rather than raised, since degenerate requests are ordinary data here.
     """
-    r_sq = kernel.circumradius_sq(sides)
-    op_sq = r_sq - kernel.circum_power(p, sides)
-    oq_sq = r_sq - kernel.circum_power(q, sides)
-    pq_sq = kernel.dist_sq_between(p, q, sides)
+    r_sq, op_sq, oq_sq, pq_sq = _legs(p, q, sides)
     middle = op_sq + oq_sq - pq_sq
     product = op_sq * oq_sq
     upper = 2.0 * math.sqrt(max(float(product), 0.0))
@@ -123,12 +125,27 @@ def blundon_bounds(p: BaryPoint, q: BaryPoint, sides: TriangleSides) -> BoundTri
 # incenter / Nagel specialization and the fundamental inequality
 
 
+def _euler_terms(sides: TriangleSides, side=0):
+    """(s, R^2, R rho, rho^2), rational in the sides, with rho = area / (s - side):
+    the inradius for side 0, else the exradius opposite that side."""
+    s = kernel.semiperimeter(sides)
+    gap = s - side
+    area_sq = kernel.area_sq(sides)
+    abc = sides.a * sides.b * sides.c
+    return s, abc * abc / (16 * area_sq), abc / (4 * gap), area_sq / (gap * gap)
+
+
+def _closed_form_cos(parts, elements: TriangleElements, points: str) -> float:
+    """cos from parts; a float radicand can cancel to <= 0 short of is_equilateral."""
+    numerator, radicand = parts(elements.sides)
+    if elements.is_equilateral or radicand <= 0:
+        raise EquilateralDegenerate(f"{points} coincide with O")
+    return _clamp(float(numerator) / math.sqrt(float(radicand)))
+
+
 def classical_cos_parts(sides: TriangleSides):
     """(numerator, radicand) of cos ION as rational functions of the sides."""
-    r_sq = kernel.circumradius_sq(sides)
-    rr = kernel.circum_inradius_product(sides)
-    i_sq = kernel.inradius_sq(sides)
-    s = kernel.semiperimeter(sides)
+    s, r_sq, rr, i_sq = _euler_terms(sides)
     numerator = 2 * r_sq + 10 * rr - i_sq - s * s
     # (2 (R - 2r) sqrt(R^2 - 2Rr))^2, with (R - 2r)^2 expanded rationally
     radicand = 4 * (r_sq - 4 * rr + 4 * i_sq) * (r_sq - 2 * rr)
@@ -137,10 +154,7 @@ def classical_cos_parts(sides: TriangleSides):
 
 def classical_cos_ION(elements: TriangleElements) -> float:
     """Closed form for cos of the incenter-circumcenter-Nagel angle."""
-    if elements.is_equilateral:
-        raise EquilateralDegenerate("incenter, Nagel point, and O coincide")
-    numerator, radicand = classical_cos_parts(elements.sides)
-    return _clamp(float(numerator) / math.sqrt(max(float(radicand), 0.0)))
+    return _closed_form_cos(classical_cos_parts, elements, "incenter and Nagel point")
 
 
 def fundamental_residual(elements: TriangleElements) -> float:
@@ -171,20 +185,10 @@ def fundamental_slack_sq(sides: TriangleSides):
 # excenter / adjoint specialization (the dual inequality family)
 
 
-def _exradius_parts(vertex: str, sides: TriangleSides):
-    """(R r_v, r_v^2) for the excircle opposite the vertex, kept rational."""
-    s = kernel.semiperimeter(sides)
-    side = {"A": sides.a, "B": sides.b, "C": sides.c}[vertex]
-    abc = sides.a * sides.b * sides.c
-    gap = s - side
-    return abc / (4 * gap), kernel.area_sq(sides) / (gap * gap)
-
-
 def dual_cos_parts(vertex: str, sides: TriangleSides):
     """(numerator, radicand) of cos at O between the excenter and adjoint
     points opposite the given vertex, rational in the sides."""
-    r_sq = kernel.circumradius_sq(sides)
-    rr_v, rv_sq = _exradius_parts(vertex, sides)
+    _, r_sq, rr_v, rv_sq = _euler_terms(sides, getattr(sides, vertex.lower()))
     quarter = kernel.power_sum(sides, 2) / 4
     numerator = r_sq - 3 * rr_v - rv_sq - quarter
     # ((R + 2 r_v) sqrt(R^2 + 2 R r_v))^2 without individual square roots
@@ -205,11 +209,7 @@ def dual_bound_residual(vertex: str, elements: TriangleElements) -> float:
     """Slack of the upper dual bound on (a^2 + b^2 + c^2) / 4; nonnegative."""
     sides = elements.sides
     big_r = elements.circumradius
-    r_v = {
-        "A": elements.exradius_a,
-        "B": elements.exradius_b,
-        "C": elements.exradius_c,
-    }[vertex]
+    r_v = getattr(elements, "exradius_" + vertex.lower())
     quarter = float(kernel.power_sum(sides, 2)) / 4.0
     envelope = big_r * big_r - 3.0 * big_r * r_v - r_v * r_v
     reach = (big_r + 2.0 * r_v) * math.sqrt(big_r * big_r + 2.0 * big_r * r_v)
@@ -270,6 +270,7 @@ def rank_pair_parts(k1, k2, sides: TriangleSides):
     independent specialization of the general path.  Exact for integer ranks
     with rational sides.
     """
+    # Re-derives the legs and the quadratic form on purpose: an independent cross-check.
     r_sq = kernel.circumradius_sq(sides)
     op_sq = r_sq - rank_point_circum_power(k1, sides)
     oq_sq = r_sq - rank_point_circum_power(k2, sides)
@@ -300,20 +301,14 @@ def rank_pair_cos(k1, k2, sides: TriangleSides) -> float:
 
 def centroid_incenter_cos_parts(sides: TriangleSides):
     """(numerator, radicand) of the rank (0, 1) closed form (centroid vs incenter)."""
-    r_sq = kernel.circumradius_sq(sides)
-    rr = kernel.circum_inradius_product(sides)
-    i_sq = kernel.inradius_sq(sides)
-    s = kernel.semiperimeter(sides)
+    s, r_sq, rr, i_sq = _euler_terms(sides)
     numerator = 6 * r_sq - s * s - i_sq + 2 * rr
     radicand = 4 * (9 * r_sq - 2 * s * s + 2 * i_sq + 8 * rr) * (r_sq - 2 * rr)
     return numerator, radicand
 
 
 def centroid_incenter_cos(elements: TriangleElements) -> float:
-    if elements.is_equilateral:
-        raise EquilateralDegenerate("centroid and incenter coincide with O")
-    numerator, radicand = centroid_incenter_cos_parts(elements.sides)
-    return _clamp(float(numerator) / math.sqrt(max(float(radicand), 0.0)))
+    return _closed_form_cos(centroid_incenter_cos_parts, elements, "centroid and incenter")
 
 
 def incenter_lemoine_cos_parts(sides: TriangleSides):
@@ -323,10 +318,7 @@ def incenter_lemoine_cos_parts(sides: TriangleSides):
     numerator R^2 S2 + R r S2 - 4 R r s^2, radicand R^2 (R^2 - 2Rr)
     (S2^2 - 48 r^2 s^2).
     """
-    r_sq = kernel.circumradius_sq(sides)
-    rr = kernel.circum_inradius_product(sides)
-    i_sq = kernel.inradius_sq(sides)
-    s = kernel.semiperimeter(sides)
+    s, r_sq, rr, i_sq = _euler_terms(sides)
     s2 = kernel.power_sum(sides, 2)
     numerator = r_sq * s2 + rr * s2 - 4 * rr * s * s
     radicand = r_sq * (r_sq - 2 * rr) * (s2 * s2 - 48 * i_sq * s * s)
@@ -335,10 +327,7 @@ def incenter_lemoine_cos_parts(sides: TriangleSides):
 
 def incenter_lemoine_cos(elements: TriangleElements) -> float:
     """Closed form for cos at O between the incenter and the Lemoine point."""
-    if elements.is_equilateral:
-        raise EquilateralDegenerate("incenter and Lemoine point coincide with O")
-    numerator, radicand = incenter_lemoine_cos_parts(elements.sides)
-    return _clamp(float(numerator) / math.sqrt(max(float(radicand), 0.0)))
+    return _closed_form_cos(incenter_lemoine_cos_parts, elements, "incenter and Lemoine point")
 
 
 def incenter_lemoine_cos_halved(elements: TriangleElements) -> float:
@@ -405,6 +394,7 @@ def triple_cevian_cos_variant(
     expansion of the numerator, whose c^2 group carries a flipped sign;
     it disagrees with the Law of Cosines composition whenever that group
     is nonzero.  Kept only for verification reports."""
+    # Re-derives the quadratic form on purpose: an independent cross-check.
     n1 = p1.normalized()
     n2 = p2.normalized()
     n3 = p3.normalized()

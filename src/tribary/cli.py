@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import oracle
 from .blundon import CLASS_UNDEFINED, cos_angle_at_circumcenter, triple_cevian_cos
 from .centers import parse_center_spec, resolve
-from .errors import GeometryError, CenterSpecError, UndefinedAngle
+from .errors import CenterSpecError, DegenerateTriangle, GeometryError
 from .kernel import (
     BaryPoint,
     TriangleSides,
@@ -124,7 +124,17 @@ def _parse_sides(text: str, exact: bool) -> TriangleSides:
         if not exact and not math.isfinite(value):
             raise _UsageError(f"non-finite side value {token!r}")
         values.append(value)
+    if exact:
+        _float_sides(values)  # exact runs still report floats
     return TriangleSides(*values)
+
+
+def _float_sides(values) -> TriangleSides:
+    """Float image of side values, validated like float input."""
+    try:
+        return TriangleSides(*(float(v) for v in values))
+    except OverflowError as exc:
+        raise DegenerateTriangle("side values exceed the float range") from exc
 
 
 def _resolve_point(text: str, sides: TriangleSides, exact: bool) -> BaryPoint:
@@ -173,7 +183,7 @@ def _triple_str(values) -> str:
 
 def _cmd_derive(args) -> int:
     sides = _parse_sides(args.sides, args.exact)
-    sides_float = TriangleSides(*(float(v) for v in sides.as_tuple()))
+    sides_float = _float_sides(sides.as_tuple())
     elements = derive_elements(sides_float)
     data = {
         "sides": list(sides_float.as_tuple()),
@@ -248,33 +258,39 @@ def _cmd_center(args) -> int:
     return 0
 
 
-def _angle_data(args):
+def _angle_points(args):
+    """(p, q, sides) as parsed from the command line."""
     sides = _parse_sides(args.sides, args.exact)
     p = _resolve_point(args.p, sides, args.exact)
     q = _resolve_point(args.q, sides, args.exact)
-    report = cos_angle_at_circumcenter(p, q, sides)
-    residual = None
-    if report.cos_value is not None:
-        sides_float = TriangleSides(*(float(v) for v in sides.as_tuple()))
-        p_float = _resolve_point(args.p, sides_float, False)
-        q_float = _resolve_point(args.q, sides_float, False)
-        placement = oracle.place_triangle(*sides_float.as_tuple())
-        center = oracle.circumcenter_xy(placement)
-        try:
-            reference = oracle.angle_cos(
-                center,
-                oracle.barycentric_to_cartesian(p_float.as_tuple(), placement),
-                oracle.barycentric_to_cartesian(q_float.as_tuple(), placement),
-            )
-        except (UndefinedAngle, GeometryError):
-            reference = None
-        if reference is not None:
-            residual = report.cos_value - reference
-    return report, residual
+    return p, q, sides
+
+
+def _oracle_residual(args, p, q, sides, cos_value):
+    """cos_value minus the Cartesian oracle's cosine, in floats; None if undefined."""
+    if cos_value is None:
+        return None
+    if args.exact:
+        sides = _float_sides(sides.as_tuple())
+        p = _resolve_point(args.p, sides, False)
+        q = _resolve_point(args.q, sides, False)
+    placement = oracle.place_triangle(*sides.as_tuple())
+    center = oracle.circumcenter_xy(placement)
+    try:
+        reference = oracle.angle_cos(
+            center,
+            oracle.barycentric_to_cartesian(p.as_tuple(), placement),
+            oracle.barycentric_to_cartesian(q.as_tuple(), placement),
+        )
+    except GeometryError:
+        return None
+    return cos_value - reference
 
 
 def _cmd_cos(args) -> int:
-    report, residual = _angle_data(args)
+    p, q, sides = _angle_points(args)
+    report = cos_angle_at_circumcenter(p, q, sides)
+    residual = _oracle_residual(args, p, q, sides, report.cos_value)
     data = {
         "cos": report.cos_value,
         "op_sq": report.op_sq,
@@ -304,7 +320,7 @@ def _cmd_cos(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    report, _ = _angle_data(args)
+    report = cos_angle_at_circumcenter(*_angle_points(args))
     data = {
         "bounds": {
             "lower": report.bounds.lower,

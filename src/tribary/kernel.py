@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DegenerateTriangle, NonPositiveWeights, PointAtInfinity
+from .errors import DegenerateTriangle, GeometryError, NonPositiveWeights, PointAtInfinity
 
 Scalar = Union[float, "fractions.Fraction"]  # noqa: F821 - documentation alias
 
@@ -44,6 +44,11 @@ class TriangleSides:
         gap = min(a + b - c, b + c - a, c + a - b)
         if gap <= EPS_TRIANGLE * perimeter:
             raise DegenerateTriangle(f"triangle inequality fails for ({a}, {b}, {c})")
+        if isinstance(perimeter, float):
+            abc = a * b * c
+            if not (0 < abc * abc < math.inf and 0 < 16 * area_sq(self) < math.inf):
+                raise DegenerateTriangle(
+                    f"sides ({a}, {b}, {c}) leave abc^2 or 16 area^2 outside the float range")
 
     def as_tuple(self):
         return (self.a, self.b, self.c)
@@ -58,8 +63,11 @@ class BaryPoint:
     t3: Scalar
 
     def __post_init__(self):
-        if self.t1 + self.t2 + self.t3 == 0:
+        total = self.t1 + self.t2 + self.t3
+        if total == 0:
             raise PointAtInfinity(f"weights {self.as_tuple()!r} sum to zero")
+        if not abs(total) < math.inf:
+            raise GeometryError(f"weights {self.as_tuple()!r} overflow: their sum is not finite")
 
     def as_tuple(self):
         return (self.t1, self.t2, self.t3)
@@ -163,24 +171,27 @@ def derive_elements(sides: TriangleSides) -> TriangleElements:
     )
 
 
+def _quadratic_form(n, sides: TriangleSides):
+    """y z a^2 + z x b^2 + x y c^2 for n = (x, y, z): every squared distance."""
+    x, y, z = n
+    a, b, c = sides.a, sides.b, sides.c
+    return y * z * (a * a) + z * x * (b * b) + x * y * (c * c)
+
+
 def circum_power(t: BaryPoint, sides: TriangleSides):
     """Power-like quantity R^2 - OP^2 for the point with weights t.
 
     Uses the cleared-denominator form, so zero weights (points on the
     sidelines) are fine.
     """
-    n1, n2, n3 = t.normalized()
-    a_sq, b_sq, c_sq = side_squares(sides)
-    return n2 * n3 * a_sq + n3 * n1 * b_sq + n1 * n2 * c_sq
+    return _quadratic_form(t.normalized(), sides)
 
 
 def dist_sq_between(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
     """Squared distance between two finite barycentric points."""
     p1, p2, p3 = p.normalized()
     q1, q2, q3 = q.normalized()
-    alpha, beta, gamma = p1 - q1, p2 - q2, p3 - q3
-    a_sq, b_sq, c_sq = side_squares(sides)
-    return -(beta * gamma * a_sq + gamma * alpha * b_sq + alpha * beta * c_sq)
+    return -_quadratic_form((p1 - q1, p2 - q2, p3 - q3), sides)
 
 
 def lagrange_point_dist_sq(t: BaryPoint, ma_sq, mb_sq, mc_sq, sides: TriangleSides):
@@ -190,10 +201,8 @@ def lagrange_point_dist_sq(t: BaryPoint, ma_sq, mb_sq, mc_sq, sides: TriangleSid
     the point weighted by t.  The combination below is the cleared-denominator
     form of the weighted-average identity, legal for zero weights.
     """
-    n1, n2, n3 = t.normalized()
-    a_sq, b_sq, c_sq = side_squares(sides)
-    mixed = n2 * n3 * a_sq + n3 * n1 * b_sq + n1 * n2 * c_sq
-    return n1 * ma_sq + n2 * mb_sq + n3 * mc_sq - mixed
+    n = t.normalized()
+    return n[0] * ma_sq + n[1] * mb_sq + n[2] * mc_sq - _quadratic_form(n, sides)
 
 
 def bergstrom_bound(t: BaryPoint, sides: TriangleSides):

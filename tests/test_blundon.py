@@ -157,6 +157,28 @@ class TestClassicalClosedForm:
         with pytest.raises(EquilateralDegenerate):
             blundon.classical_cos_ION(el)
 
+    def test_cancelled_radicand_raises(self):
+        # Not flagged by is_equilateral, yet the float radicand cancels to 0.0.
+        sides = TriangleSides(0.6666902889603944, 0.6666668989870022, 0.6666428120526035)
+        el = kernel.derive_elements(sides)
+        assert not el.is_equilateral
+        assert blundon.classical_cos_parts(sides)[1] <= 0
+        with pytest.raises(EquilateralDegenerate):
+            blundon.classical_cos_ION(el)
+
+    @pytest.mark.parametrize("closed_form, parts", [
+        ("classical_cos_ION", "classical_cos_parts"),
+        ("centroid_incenter_cos", "centroid_incenter_cos_parts"),
+        ("incenter_lemoine_cos", "incenter_lemoine_cos_parts"),
+    ])
+    @pytest.mark.parametrize("radicand", [0.0, -1e-30])
+    def test_every_closed_form_rejects_nonpositive_radicand(
+        self, monkeypatch, closed_form, parts, radicand
+    ):
+        monkeypatch.setattr(blundon, parts, lambda sides: (1e-9, radicand))
+        with pytest.raises(EquilateralDegenerate):
+            getattr(blundon, closed_form)(RIGHT_EL)
+
     def test_exact_parts_match_general_parts(self):
         num, radicand = blundon.classical_cos_parts(EXACT_RIGHT)
         assert num == Fraction(1, 2)

@@ -6,7 +6,9 @@ cevian foot on BC splits it 5 : 4 from B.
 """
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -213,3 +215,13 @@ class TestResolve:
         sides = TriangleSides(Fraction(3), Fraction(4), Fraction(5))
         point = resolve(parse_center_spec("cevian:2,0,0", exact=True), sides)
         assert point.as_tuple() == (Fraction(9), Fraction(16), Fraction(25))
+
+
+def test_readme_point_specs_parse():
+    """Every spec in the README's point-grammar paragraph parses, and together
+    they cover every point kind the parser knows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = re.search(r"Points are named centers.*?\n\n", readme, re.S).group(0)
+    specs = re.findall(r"`([^`]+)`", paragraph)
+    kinds = {parse_center_spec(spec).kind for spec in specs}
+    assert kinds == set(centers._KIND_SHAPES)

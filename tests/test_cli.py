@@ -150,6 +150,25 @@ class TestCos:
         assert data["cos"] is None
         assert data["classification"] == "undefined"
 
+    def test_overflowing_raw_weights_exit_one(self, capsys):
+        code, out, err = run_cli(capsys, "cos", "--sides", "3,4,5",
+                                 "--p", "raw:1e308,1e308,1e308", "--q", "incenter")
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "not finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("cos", "--sides", "1e200,1e200,1e200", "--p", "incenter", "--q", "nagel"),
+        ("cos", "--sides", "1e60,1e60,1.5e60", "--p", "incenter", "--q", "nagel"),
+        ("cos", "--sides", "1e-200,1e-200,1.5e-200", "--p", "incenter", "--q", "nagel"),
+        ("derive", "--exact", "--sides", "1e400,1e400,1e400"),
+    ])
+    def test_extreme_side_magnitudes_exit_one(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_collinear_same_side(self, capsys):
         code, out, _ = run_cli(capsys, "cos", "--sides", "5,5,6",
                                "--p", "incenter", "--q", "nagel", "--format", "json")

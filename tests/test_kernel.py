@@ -13,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribary import kernel, oracle
-from tribary.errors import DegenerateTriangle, NonPositiveWeights, PointAtInfinity
+from tribary.errors import (
+    DegenerateTriangle,
+    GeometryError,
+    NonPositiveWeights,
+    PointAtInfinity,
+)
 from tribary.kernel import BaryPoint, TriangleSides
 
 RIGHT = TriangleSides(3.0, 4.0, 5.0)
@@ -38,7 +43,11 @@ def random_point(rng: random.Random) -> BaryPoint:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("sides", [(1, 1, 2), (1, 2, 8), (-1, 2, 2), (0, 1, 1)])
+    @pytest.mark.parametrize("sides", [
+        (1, 1, 2), (1, 2, 8), (-1, 2, 2), (0, 1, 1),
+        # abc^2 or 16 area^2 leaves the float range
+        (1e200, 1e200, 1e200), (1e60, 1e60, 1.5e60), (1e-200, 1e-200, 1.5e-200),
+    ])
     def test_degenerate_rejected(self, sides):
         with pytest.raises(DegenerateTriangle):
             TriangleSides(*sides)
@@ -46,6 +55,10 @@ class TestValidation:
     def test_zero_sum_point_rejected(self):
         with pytest.raises(PointAtInfinity):
             BaryPoint(1.0, -1.0, 0.0)
+
+    def test_overflowing_weight_sum_rejected(self):
+        with pytest.raises(GeometryError):
+            BaryPoint(1e308, 1e308, 1e308)
 
     def test_rational_sides_accepted(self):
         sides = TriangleSides(Fraction(3), Fraction(4), Fraction(5))
