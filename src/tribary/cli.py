@@ -375,8 +375,6 @@ def _cmd_verify(args) -> int:
             token.strip() for token in args.strata.split(",") if token.strip())
     try:
         config = FuzzConfig(**kwargs)
-    except GeometryError:
-        raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     report = run_fuzz(config)

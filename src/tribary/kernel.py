@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 from .errors import DegenerateTriangle, GeometryError, NonPositiveWeights, PointAtInfinity
@@ -135,14 +134,13 @@ def circum_inradius_product(sides: TriangleSides):
 
 
 def pow_keep_exact(base, exponent):
-    """base ** exponent, staying in exact arithmetic for integral exponents."""
-    if isinstance(exponent, float) and exponent.is_integer():
-        exponent = int(exponent)
-    if isinstance(exponent, Fraction) and exponent.denominator == 1:
-        exponent = int(exponent)
-    if isinstance(exponent, int):
-        return base**exponent
-    return float(base) ** float(exponent)
+    """base ** exponent, exact for integral exponents; GeometryError on float overflow."""
+    try:
+        if exponent % 1 == 0:
+            return base ** int(exponent)
+        return float(base) ** float(exponent)
+    except OverflowError as exc:
+        raise GeometryError(f"{base} ** {exponent} leaves the float range") from exc
 
 
 def power_sum(sides: TriangleSides, exponent):

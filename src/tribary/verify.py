@@ -7,10 +7,18 @@ into a report whose JSON form is byte-identical across repeated runs with
 the same configuration: per-sample RNG streams are keyed by seed, stratum
 name, and index, and nothing time- or environment-dependent is recorded.
 
-Checks with tolerance 0.0 are exact rational identities evaluated on a
-strided subset of samples.  Checks flagged advisory never fail the run;
-they document known closed-form variants that disagree with the trusted
-computation path.
+Each check is one function, named after the check and registered with
+its suite and tolerance by ``@_check(suite, tolerance)``.  It takes the
+sample and returns None to skip it, or (abs, rel[, p[, q]]) to record it.
+Everything else follows from the registration:
+
+- the report lists the checks in definition order;
+- a check whose name starts with ``diag_`` is advisory: it documents a
+  known closed-form variant that disagrees with the trusted path, carries
+  a note, and never fails the run;
+- a check with tolerance 0.0 that is not advisory is an exact rational
+  identity and runs only on every ``exact_stride``-th sample of a stratum;
+  every other check, the advisory ones included, runs on every sample.
 """
 
 from __future__ import annotations
@@ -20,11 +28,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import oracle
 from .blundon import (
-    CLASS_UNDEFINED,
     centroid_incenter_cos,
     centroid_incenter_cos_parts,
     centroid_lemoine_cos_variant,
@@ -268,17 +276,18 @@ class _Sample:
     """One sampled triangle plus all random material its checks consume.
 
     Every random draw happens here, in a fixed order, so the per-sample
-    results do not depend on which suites are enabled.
+    results do not depend on which suites are enabled.  Values that several
+    checks use are cached properties, computed at most once per sample.
     """
 
     def __init__(self, stratum: str, index: int, config: FuzzConfig):
         self.stratum = stratum
-        self.index = index
         rng = random.Random(f"{config.seed}:{stratum}:{index}")
         self.exact_sides = _sample_exact_sides(stratum, index, rng, config)
         self.sides = TriangleSides(*(float(v) for v in self.exact_sides.as_tuple()))
         self.elements = derive_elements(self.sides)
         self.r_sq = circumradius_sq(self.sides)
+        self.min_leg = COMPARISON_GUARD * self.r_sq
         self.placement = oracle.place_triangle(*self.sides.as_tuple())
         self.o_xy = oracle.circumcenter_xy(self.placement)
         self.oracle_r_sq = oracle.circumradius_sq(self.placement)
@@ -297,10 +306,59 @@ class _Sample:
         self.p_xy = oracle.barycentric_to_cartesian(self.p_pt.as_tuple(), self.placement)
         self.q_xy = oracle.barycentric_to_cartesian(self.q_pt.as_tuple(), self.placement)
         self.extra_xy = oracle.barycentric_to_cartesian(self.extra_pt.as_tuple(), self.placement)
-        self.pos_xy = oracle.barycentric_to_cartesian(self.pos_pt.as_tuple(), self.placement)
 
-    def sides_floats(self) -> tuple:
-        return self.sides.as_tuple()
+    @cached_property
+    def pq_report(self):
+        return cos_angle_at_circumcenter(self.p_pt, self.q_pt, self.sides)
+
+    @cached_property
+    def pq_dist_sq(self):
+        return dist_sq_between(self.p_pt, self.q_pt, self.sides)
+
+    @cached_property
+    def p_power(self):
+        return circum_power(self.p_pt, self.sides)
+
+    @cached_property
+    def incenter_pt(self):
+        return incenter(self.sides)
+
+    @cached_property
+    def nagel_pt(self):
+        return nagel_point(self.sides)
+
+    @cached_property
+    def centroid_pt(self):
+        return centroid(self.sides)
+
+    @cached_property
+    def lemoine_pt(self):
+        return lemoine_point(self.sides)
+
+    @cached_property
+    def nagel_legs(self) -> tuple:
+        """Squared distances IG and IN along the Nagel line."""
+        return (dist_sq_between(self.incenter_pt, self.centroid_pt, self.sides),
+                dist_sq_between(self.incenter_pt, self.nagel_pt, self.sides))
+
+    @cached_property
+    def dual_rows(self) -> tuple:
+        """(vertex, excenter, adjoint Nagel point, exradius, cos report) per vertex."""
+        el = self.elements
+        rows = []
+        for vertex, r_v in zip(VERTICES, (el.exradius_a, el.exradius_b, el.exradius_c)):
+            exc = excenter(vertex, self.sides)
+            adj = adjoint_nagel(vertex, self.sides)
+            rows.append((vertex, exc, adj, r_v, cos_angle_at_circumcenter(exc, adj, self.sides)))
+        return tuple(rows)
+
+    @cached_property
+    def triple_cos(self) -> Optional[float]:
+        """cos of the angle at Q in the triangle P Q extra; None when two coincide."""
+        try:
+            return triple_cevian_cos(self.p_pt, self.q_pt, self.extra_pt, self.sides)
+        except DegenerateVertexAngle:
+            return None
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +367,17 @@ class _Sample:
 
 @dataclass
 class CheckAccumulator:
-    """Worst residuals seen by one named check across all samples."""
+    """Worst residuals seen by one named check across all samples.
+
+    A check whose name starts with ``diag_`` is advisory and never fails.
+    A check whose name ends with ``_radicand`` skips exactly the samples
+    whose radicand is not positive, so its counters are its two counts.
+    """
 
     name: str
     suite: str
     tolerance: float
-    advisory: bool = False
+    advisory: bool = field(init=False)
     note: Optional[str] = None
     samples: int = 0
     skipped: int = 0
@@ -325,8 +388,16 @@ class CheckAccumulator:
     worst_sides: Optional[tuple] = None
     worst_p: Optional[tuple] = None
     worst_q: Optional[tuple] = None
-    counters: dict = field(default_factory=dict)
     _worst_key: float = field(default=-1.0, repr=False)
+
+    def __post_init__(self):
+        self.advisory = self.name.startswith("diag_")
+
+    @property
+    def counters(self) -> dict:
+        if not self.name.endswith("_radicand"):
+            return {}
+        return {"radicand_positive": self.samples, "radicand_nonpositive": self.skipped}
 
     def record(self, ctx: _Sample, abs_residual: float, rel_residual: float,
                p: Optional[BaryPoint] = None, q: Optional[BaryPoint] = None) -> None:
@@ -347,12 +418,9 @@ class CheckAccumulator:
         if key > self._worst_key:
             self._worst_key = key
             self.worst_stratum = ctx.stratum
-            self.worst_sides = ctx.sides_floats()
+            self.worst_sides = ctx.sides.as_tuple()
             self.worst_p = p.as_tuple() if p is not None else None
             self.worst_q = q.as_tuple() if q is not None else None
-
-    def skip(self) -> None:
-        self.skipped += 1
 
     @property
     def passed(self) -> bool:
@@ -383,8 +451,9 @@ class CheckAccumulator:
             data["advisory"] = True
         if self.note is not None:
             data["note"] = self.note
-        if self.counters:
-            data["counters"] = dict(self.counters)
+        counters = self.counters
+        if counters:
+            data["counters"] = counters
         return data
 
 
@@ -429,70 +498,21 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# the checks themselves
+# the check registry and its helpers
 
-_CHECK_TABLE = (
-    ("kernel_dist_sq_vs_oracle", "kernel", 1e-9),
-    ("kernel_circum_power_vs_oracle", "kernel", 1e-9),
-    ("kernel_cos_vs_oracle", "kernel", 1e-9),
-    ("kernel_point_nonnegativity", "kernel", 1e-12),
-    ("kernel_lagrange_vs_circum_power", "kernel", 1e-9),
-    ("kernel_lagrange_vertex_reference", "kernel", 1e-9),
-    ("kernel_bergstrom_slack_nonneg", "kernel", 1e-12),
-    ("kernel_bergstrom_equality_at_tangency", "kernel", 1e-10),
-    ("kernel_scale_invariance", "kernel", 1e-12),
-    ("kernel_exact_scale_invariance", "kernel", 0.0),
-    ("kernel_euler_chain_powers", "kernel", 1e-10),
-    ("kernel_side_product_identities", "kernel", 1e-11),
-    ("kernel_relabel_invariance", "kernel", 1e-9),
-    ("kernel_foot_ratio_vs_oracle", "kernel", 1e-9),
-    ("classical_closed_vs_general", "classical", 1e-10),
-    ("classical_fundamental_nonneg", "classical", 1e-10),
-    ("classical_fundamental_slack_exact", "classical", 0.0),
-    ("classical_bounds_sandwich", "classical", 1e-9),
-    ("classical_collinear_opposite_equality", "classical", 1e-8),
-    ("classical_collinear_same_side_equality", "classical", 1e-8),
-    ("classical_nagel_line_ratio", "classical", 1e-9),
-    ("classical_nagel_line_collinearity", "classical", 1e-8),
-    ("classical_rank01_closed_vs_general", "classical", 1e-10),
-    ("classical_rank12_closed_vs_general", "classical", 1e-10),
-    ("classical_power_sum_identities", "classical", 1e-11),
-    ("classical_parts_exact_identity", "classical", 0.0),
-    ("diag_incenter_lemoine_halved", "classical", 0.0),
-    ("diag_centroid_lemoine_radicand", "classical", 0.0),
-    ("dual_closed_vs_general", "dual", 1e-10),
-    ("dual_excenter_power_identity", "dual", 1e-9),
-    ("dual_adjoint_power_identity", "dual", 1e-9),
-    ("dual_leg_identities", "dual", 1e-9),
-    ("dual_bound_nonneg", "dual", 1e-9),
-    ("dual_slack_exact", "dual", 0.0),
-    ("dual_parts_exact_identity", "dual", 0.0),
-    ("dual_exradii_identity", "dual", 1e-10),
-    ("dual_exradii_exact", "dual", 0.0),
-    ("dual_adjoint_weight_sums", "dual", 1e-12),
-    ("cevian_rank_pair_vs_general", "cevian", 1e-9),
-    ("cevian_rank_special_points", "cevian", 1e-12),
-    ("cevian_triple_vs_oracle", "cevian", 1e-9),
-    ("cevian_feet_cos_vs_oracle", "cevian", 1e-9),
-    ("cevian_triple_reversal", "cevian", 1e-12),
-    ("diag_triple_expansion_sign", "cevian", 0.0),
-)
+_CHECKS = []
 
-_ADVISORY_NOTES = {
-    "diag_incenter_lemoine_halved": (
-        "closed-form variant carrying an extra factor 2; residual is the "
-        "distance of its ratio to the trusted value from one half"
-    ),
-    "diag_centroid_lemoine_radicand": (
-        "closed-form variant whose second radicand mixes scale degrees; "
-        "counters show how often it is non-positive, and real values land "
-        "outside [-1, 1]"
-    ),
-    "diag_triple_expansion_sign": (
-        "printed numerator expansion with one sign group flipped; residual "
-        "is its distance to the trusted vertex-angle cosine"
-    ),
-}
+
+def _check(suite: str, tolerance: float, note: Optional[str] = None):
+    """Register the decorated function as the check named after it.
+
+    The function takes a _Sample and returns None to skip it, or
+    (abs_residual, rel_residual[, p[, q]]) to record it.
+    """
+    def register(run):
+        _CHECKS.append((run, suite, tolerance, note))
+        return run
+    return register
 
 
 def _parts_agree(parts_one, parts_two) -> bool:
@@ -509,487 +529,498 @@ def _parts_agree(parts_one, parts_two) -> bool:
     return num1 * num1 * rad2 == num2 * num2 * rad1
 
 
-class _Runner:
-    def __init__(self, config: FuzzConfig):
-        self.config = config
-        self.suites = config.enabled_suites()
-        self.checks: dict[str, CheckAccumulator] = {}
-        for name, suite, tolerance in _CHECK_TABLE:
-            if suite not in self.suites:
-                continue
-            advisory = name.startswith("diag_")
-            acc = CheckAccumulator(
-                name=name,
-                suite=suite,
-                tolerance=tolerance,
-                advisory=advisory,
-                note=_ADVISORY_NOTES.get(name),
-            )
-            if name == "diag_centroid_lemoine_radicand":
-                acc.counters = {"radicand_positive": 0, "radicand_nonpositive": 0}
-            self.checks[name] = acc
+def _exact(ok: bool, miss: float = 1.0) -> tuple:
+    """Residuals of an exact identity: zero when it holds, else (miss, 1)."""
+    return (0.0, 0.0) if ok else (miss, 1.0)
 
-    def _rec(self, name, ctx, abs_residual, rel_residual, p=None, q=None):
-        self.checks[name].record(ctx, abs_residual, rel_residual, p=p, q=q)
 
-    def _skip(self, name):
-        self.checks[name].skip()
+def _rel_gap(got, expected, floor):
+    """|got - expected| relative to |expected|, or to floor when that is larger."""
+    return abs(got - expected) / max(abs(expected), floor)
 
-    # -- kernel ------------------------------------------------------------
 
-    def run_kernel(self, ctx: _Sample) -> None:
-        sides, el, r_sq = ctx.sides, ctx.elements, ctx.r_sq
-        p, q = ctx.p_pt, ctx.q_pt
-        a_sq, b_sq, c_sq = side_squares(sides)
-        min_leg = COMPARISON_GUARD * r_sq
+def _short_leg(report, ctx: _Sample) -> bool:
+    """The angle is undefined, or one leg is too short to compare its cosine."""
+    return report.cos_value is None or min(report.op_sq, report.oq_sq) < ctx.min_leg
 
-        got_dist = dist_sq_between(p, q, sides)
-        exp_dist = oracle.dist_sq(ctx.p_xy, ctx.q_xy)
-        scale = max(1.0, r_sq, abs(exp_dist))
-        self._rec("kernel_dist_sq_vs_oracle", ctx, got_dist - exp_dist,
-                  abs(got_dist - exp_dist) / scale, p=p, q=q)
 
-        got_cp = circum_power(p, sides)
-        exp_cp = ctx.oracle_r_sq - oracle.dist_sq(ctx.p_xy, ctx.o_xy)
-        n1, n2, n3 = p.normalized()
-        term_scale = max(abs(n2 * n3 * a_sq), abs(n3 * n1 * b_sq), abs(n1 * n2 * c_sq))
-        scale = max(1.0, r_sq, abs(exp_cp), term_scale)
-        self._rec("kernel_circum_power_vs_oracle", ctx, got_cp - exp_cp,
-                  abs(got_cp - exp_cp) / scale, p=p)
+def _closed_vs_general(ctx: _Sample, p: BaryPoint, q: BaryPoint, closed):
+    """A closed form in the triangle's elements against the general cos POQ."""
+    report = cos_angle_at_circumcenter(p, q, ctx.sides)
+    if _short_leg(report, ctx) or ctx.elements.is_equilateral:
+        return None
+    diff = closed(ctx.elements) - report.cos_value
+    return diff, abs(diff)
 
-        report = cos_angle_at_circumcenter(p, q, sides)
-        if (report.cos_value is None
-                or min(report.op_sq, report.oq_sq) < min_leg):
-            self._skip("kernel_cos_vs_oracle")
-        else:
-            try:
-                exp_cos = oracle.angle_cos(ctx.o_xy, ctx.p_xy, ctx.q_xy, min_leg_sq=min_leg)
-            except UndefinedAngle:
-                self._skip("kernel_cos_vs_oracle")
-            else:
-                diff = report.cos_value - exp_cos
-                self._rec("kernel_cos_vs_oracle", ctx, diff, abs(diff), p=p, q=q)
 
-        viol = max(0.0, -got_dist, -(r_sq - got_cp))
-        self._rec("kernel_point_nonnegativity", ctx, viol, viol / r_sq, p=p, q=q)
+def _collinear_equality(ctx: _Sample, x_xy, expected_cos: float):
+    """For X on line OP, cos POX is +1 or -1 and the middle term meets a bound.
 
-        lag_o = lagrange_point_dist_sq(p, r_sq, r_sq, r_sq, sides)
-        via_lagrange = r_sq - lag_o
-        scale = max(1.0, r_sq, abs(got_cp), abs(lag_o))
-        self._rec("kernel_lagrange_vs_circum_power", ctx, via_lagrange - got_cp,
-                  abs(via_lagrange - got_cp) / scale, p=p)
+    X beyond O (cos -1) meets the lower bound, X on P's side the upper one.
+    """
+    if oracle.dist_sq(ctx.p_xy, ctx.o_xy) < 4.0 * ctx.min_leg:
+        return None
+    x = BaryPoint(*oracle.cartesian_to_barycentric(x_xy, ctx.placement))
+    report = cos_angle_at_circumcenter(ctx.p_pt, x, ctx.sides)
+    if report.cos_value is None:
+        return None
+    bounds = report.bounds
+    middle = float(bounds.middle)
+    bound = bounds.upper if expected_cos > 0 else bounds.lower
+    rel = max(abs(report.cos_value - expected_cos),
+              abs(middle - bound) / max(1.0, ctx.r_sq, abs(middle)))
+    return rel, rel, ctx.p_pt
 
-        lag_a = lagrange_point_dist_sq(p, 0.0, c_sq, b_sq, sides)
-        exp_a = oracle.dist_sq(ctx.p_xy, ctx.placement.a_xy)
-        scale = max(1.0, r_sq, abs(exp_a))
-        self._rec("kernel_lagrange_vertex_reference", ctx, lag_a - exp_a,
-                  abs(lag_a - exp_a) / scale, p=p)
 
-        pos = ctx.pos_pt
-        slack = circum_power(pos, sides) - bergstrom_bound(pos, sides)
-        viol = max(0.0, -slack)
-        self._rec("kernel_bergstrom_slack_nonneg", ctx, viol, viol / r_sq, p=pos)
+# -- kernel ----------------------------------------------------------------
 
-        tangent = BaryPoint(sides.a, sides.b, sides.c)
-        eq_res = circum_power(tangent, sides) - bergstrom_bound(tangent, sides)
-        self._rec("kernel_bergstrom_equality_at_tangency", ctx, eq_res, abs(eq_res) / r_sq)
 
-        lam = ctx.lam
-        p_scaled = BaryPoint(p.t1 * lam, p.t2 * lam, p.t3 * lam)
-        diff_cp = circum_power(p_scaled, sides) - got_cp
-        diff_d = dist_sq_between(p_scaled, q, sides) - got_dist
-        rel = max(abs(diff_cp) / max(1.0, abs(got_cp)),
-                  abs(diff_d) / max(1.0, abs(got_dist)))
-        self._rec("kernel_scale_invariance", ctx, max(abs(diff_cp), abs(diff_d)), rel, p=p)
+@_check("kernel", 1e-9)
+def kernel_dist_sq_vs_oracle(ctx):
+    expected = oracle.dist_sq(ctx.p_xy, ctx.q_xy)
+    diff = ctx.pq_dist_sq - expected
+    return diff, abs(diff) / max(1.0, ctx.r_sq, abs(expected)), ctx.p_pt, ctx.q_pt
 
-        if ctx.exact_now:
-            es = ctx.exact_sides
-            k, l, m = ctx.rank_ints
-            pe = BaryPoint(Fraction(k + 4), Fraction(l + 5), Fraction(m + 6))
-            qe = BaryPoint(Fraction(m + 5), Fraction(k + 5), Fraction(l + 5))
-            base_cp = circum_power(pe, es)
-            base_d = dist_sq_between(pe, qe, es)
-            exact_ok = True
-            for factor in (Fraction(2), Fraction(-1)):
-                pf = BaryPoint(pe.t1 * factor, pe.t2 * factor, pe.t3 * factor)
-                if circum_power(pf, es) != base_cp or dist_sq_between(pf, qe, es) != base_d:
-                    exact_ok = False
-            self._rec("kernel_exact_scale_invariance", ctx,
-                      0.0 if exact_ok else 1.0, 0.0 if exact_ok else 1.0)
 
-        inc = incenter(sides)
-        nag = nagel_point(sides)
-        big_r, in_r = el.circumradius, el.inradius
-        floor = COMPARISON_GUARD * r_sq
-        exp_i = 2.0 * big_r * in_r
-        exp_n = 4.0 * big_r * in_r - 4.0 * in_r * in_r
-        cp_i = circum_power(inc, sides)
-        cp_n = circum_power(nag, sides)
-        rel = max(abs(cp_i - exp_i) / max(abs(exp_i), floor),
-                  abs(cp_n - exp_n) / max(abs(exp_n), floor))
-        self._rec("kernel_euler_chain_powers", ctx,
-                  max(abs(cp_i - exp_i), abs(cp_n - exp_n)), rel)
+@_check("kernel", 1e-9)
+def kernel_circum_power_vs_oracle(ctx):
+    expected = ctx.oracle_r_sq - oracle.dist_sq(ctx.p_xy, ctx.o_xy)
+    a_sq, b_sq, c_sq = side_squares(ctx.sides)
+    n1, n2, n3 = ctx.p_pt.normalized()
+    term_scale = max(abs(n2 * n3 * a_sq), abs(n3 * n1 * b_sq), abs(n1 * n2 * c_sq))
+    diff = ctx.p_power - expected
+    return diff, abs(diff) / max(1.0, ctx.r_sq, abs(expected), term_scale), ctx.p_pt
 
-        s = el.semiperimeter
-        lhs1 = (s - sides.a) * (s - sides.b) * (s - sides.c)
-        rhs1 = in_r * in_r * s
-        lhs2 = sides.a * sides.b * sides.c
-        rhs2 = 4.0 * big_r * in_r * s
-        rel = max(abs(lhs1 - rhs1) / max(abs(rhs1), 1e-12 * r_sq),
-                  abs(lhs2 - rhs2) / abs(rhs2))
-        self._rec("kernel_side_product_identities", ctx,
-                  max(abs(lhs1 - rhs1), abs(lhs2 - rhs2)), rel)
 
-        rotated = TriangleSides(sides.b, sides.c, sides.a)
-        k, l, m = ctx.rank_ints
-        pairs = [
-            (incenter(sides), incenter(rotated)),
-            (nagel_point(sides), nagel_point(rotated)),
-            (lemoine_point(sides), lemoine_point(rotated)),
-            (cevian_rank(k, l, m, sides), cevian_rank(k, l, m, rotated)),
-            (excenter("B", sides), excenter("A", rotated)),
-            (adjoint_nagel("B", sides), adjoint_nagel("A", rotated)),
-        ]
-        worst = 0.0
-        for original, relabeled in pairs:
-            xy = oracle.barycentric_to_cartesian(original.as_tuple(), ctx.placement)
-            w1, w2, w3 = relabeled.as_tuple()
-            xy_rot = oracle.barycentric_to_cartesian((w3, w1, w2), ctx.placement)
-            worst = max(worst, math.sqrt(oracle.dist_sq(xy, xy_rot) / r_sq))
-        self._rec("kernel_relabel_invariance", ctx, worst, worst)
+@_check("kernel", 1e-9)
+def kernel_cos_vs_oracle(ctx):
+    report = ctx.pq_report
+    if _short_leg(report, ctx):
+        return None
+    try:
+        expected = oracle.angle_cos(ctx.o_xy, ctx.p_xy, ctx.q_xy, min_leg_sq=ctx.min_leg)
+    except UndefinedAngle:
+        return None
+    diff = report.cos_value - expected
+    return diff, abs(diff), ctx.p_pt, ctx.q_pt
 
-        foot_d, _, _ = cevian_triangle(ctx.pos_pt)
-        d_xy = oracle.barycentric_to_cartesian(foot_d.as_tuple(), ctx.placement)
-        bd_sq = oracle.dist_sq(ctx.placement.b_xy, d_xy)
-        dc_sq = oracle.dist_sq(d_xy, ctx.placement.c_xy)
-        t2, t3 = ctx.pos_pt.t2, ctx.pos_pt.t3
-        lhs = bd_sq * t2 * t2
-        rhs = dc_sq * t3 * t3
-        rel = abs(lhs - rhs) / max(lhs, rhs, 1e-12 * r_sq)
-        self._rec("kernel_foot_ratio_vs_oracle", ctx, abs(lhs - rhs), rel, p=ctx.pos_pt)
 
-    # -- classical ---------------------------------------------------------
+@_check("kernel", 1e-12)
+def kernel_point_nonnegativity(ctx):
+    viol = max(0.0, -ctx.pq_dist_sq, -(ctx.r_sq - ctx.p_power))
+    return viol, viol / ctx.r_sq, ctx.p_pt, ctx.q_pt
 
-    def run_classical(self, ctx: _Sample) -> None:
-        sides, el, r_sq = ctx.sides, ctx.elements, ctx.r_sq
-        min_leg = COMPARISON_GUARD * r_sq
-        s_sq = el.semiperimeter * el.semiperimeter
 
-        inc = incenter(sides)
-        nag = nagel_point(sides)
-        report_ion = cos_angle_at_circumcenter(inc, nag, sides)
-        if (report_ion.cos_value is None
-                or min(report_ion.op_sq, report_ion.oq_sq) < min_leg
-                or el.is_equilateral):
-            self._skip("classical_closed_vs_general")
-        else:
-            diff = classical_cos_ION(el) - report_ion.cos_value
-            self._rec("classical_closed_vs_general", ctx, diff, abs(diff))
+@_check("kernel", 1e-9)
+def kernel_lagrange_vs_circum_power(ctx):
+    r_sq, power = ctx.r_sq, ctx.p_power
+    lag_o = lagrange_point_dist_sq(ctx.p_pt, r_sq, r_sq, r_sq, ctx.sides)
+    diff = (r_sq - lag_o) - power
+    return diff, abs(diff) / max(1.0, r_sq, abs(power), abs(lag_o)), ctx.p_pt
 
-        residual = fundamental_residual(el)
-        viol = max(0.0, -residual)
-        self._rec("classical_fundamental_nonneg", ctx, viol, viol / s_sq)
 
-        if ctx.exact_now:
-            slack = fundamental_slack_sq(ctx.exact_sides)
-            bad = 0.0 if slack >= 0 else float(-slack)
-            self._rec("classical_fundamental_slack_exact", ctx, bad, 0.0 if slack >= 0 else 1.0)
+@_check("kernel", 1e-9)
+def kernel_lagrange_vertex_reference(ctx):
+    _, b_sq, c_sq = side_squares(ctx.sides)
+    expected = oracle.dist_sq(ctx.p_xy, ctx.placement.a_xy)
+    diff = lagrange_point_dist_sq(ctx.p_pt, 0.0, c_sq, b_sq, ctx.sides) - expected
+    return diff, abs(diff) / max(1.0, ctx.r_sq, abs(expected)), ctx.p_pt
 
-        report_pq = cos_angle_at_circumcenter(ctx.p_pt, ctx.q_pt, sides)
-        bounds = report_pq.bounds
-        viol = max(0.0, abs(bounds.middle) - bounds.upper)
-        self._rec("classical_bounds_sandwich", ctx, viol,
-                  viol / max(1.0, bounds.upper), p=ctx.p_pt, q=ctx.q_pt)
 
-        op_sq_oracle = oracle.dist_sq(ctx.p_xy, ctx.o_xy)
-        if op_sq_oracle < 4.0 * min_leg:
-            self._skip("classical_collinear_opposite_equality")
-            self._skip("classical_collinear_same_side_equality")
-        else:
-            opposite_xy = oracle.reflect_through(ctx.p_xy, ctx.o_xy)
-            opp = BaryPoint(*oracle.cartesian_to_barycentric(opposite_xy, ctx.placement))
-            rep = cos_angle_at_circumcenter(ctx.p_pt, opp, sides)
-            if rep.cos_value is None:
-                self._skip("classical_collinear_opposite_equality")
-            else:
-                mid_scale = max(1.0, r_sq, abs(float(rep.bounds.middle)))
-                rel = max(abs(rep.cos_value + 1.0),
-                          abs(float(rep.bounds.middle) - rep.bounds.lower) / mid_scale)
-                self._rec("classical_collinear_opposite_equality", ctx, rel, rel, p=ctx.p_pt)
-            halfway_xy = (
-                0.5 * (ctx.p_xy[0] + ctx.o_xy[0]),
-                0.5 * (ctx.p_xy[1] + ctx.o_xy[1]),
-            )
-            half = BaryPoint(*oracle.cartesian_to_barycentric(halfway_xy, ctx.placement))
-            rep = cos_angle_at_circumcenter(ctx.p_pt, half, sides)
-            if rep.cos_value is None:
-                self._skip("classical_collinear_same_side_equality")
-            else:
-                mid_scale = max(1.0, r_sq, abs(float(rep.bounds.middle)))
-                rel = max(abs(rep.cos_value - 1.0),
-                          abs(float(rep.bounds.middle) - rep.bounds.upper) / mid_scale)
-                self._rec("classical_collinear_same_side_equality", ctx, rel, rel, p=ctx.p_pt)
+@_check("kernel", 1e-12)
+def kernel_bergstrom_slack_nonneg(ctx):
+    pos = ctx.pos_pt
+    viol = max(0.0, -(circum_power(pos, ctx.sides) - bergstrom_bound(pos, ctx.sides)))
+    return viol, viol / ctx.r_sq, pos
 
-        cen = centroid(sides)
-        ig_sq = dist_sq_between(inc, cen, sides)
-        in_sq = dist_sq_between(inc, nag, sides)
-        diff = 9.0 * ig_sq - in_sq
-        rel = abs(diff) / max(in_sq, COMPARISON_GUARD * r_sq)
-        self._rec("classical_nagel_line_ratio", ctx, abs(diff), rel)
 
-        if min(ig_sq, in_sq) < COMPARISON_GUARD * r_sq:
-            self._skip("classical_nagel_line_collinearity")
-        else:
-            try:
-                along = triple_cevian_cos(inc, cen, nag, sides)
-            except DegenerateVertexAngle:
-                self._skip("classical_nagel_line_collinearity")
-            else:
-                viol = abs(1.0 - abs(along))
-                self._rec("classical_nagel_line_collinearity", ctx, viol, viol)
+@_check("kernel", 1e-10)
+def kernel_bergstrom_equality_at_tangency(ctx):
+    sides = ctx.sides
+    tangent = BaryPoint(sides.a, sides.b, sides.c)
+    residual = circum_power(tangent, sides) - bergstrom_bound(tangent, sides)
+    return residual, abs(residual) / ctx.r_sq
 
-        rank0 = centroid(sides)
-        rank1 = inc
-        rep = cos_angle_at_circumcenter(rank0, rank1, sides)
-        if (rep.cos_value is None or min(rep.op_sq, rep.oq_sq) < min_leg
-                or el.is_equilateral):
-            self._skip("classical_rank01_closed_vs_general")
-        else:
-            diff = centroid_incenter_cos(el) - rep.cos_value
-            self._rec("classical_rank01_closed_vs_general", ctx, diff, abs(diff))
 
-        lem = lemoine_point(sides)
-        rep = cos_angle_at_circumcenter(rank1, lem, sides)
-        if (rep.cos_value is None or min(rep.op_sq, rep.oq_sq) < min_leg
-                or el.is_equilateral):
-            self._skip("classical_rank12_closed_vs_general")
-        else:
-            diff = incenter_lemoine_cos(el) - rep.cos_value
-            self._rec("classical_rank12_closed_vs_general", ctx, diff, abs(diff))
+@_check("kernel", 1e-12)
+def kernel_scale_invariance(ctx):
+    p, lam, power, dist = ctx.p_pt, ctx.lam, ctx.p_power, ctx.pq_dist_sq
+    scaled = BaryPoint(p.t1 * lam, p.t2 * lam, p.t3 * lam)
+    diff_cp = circum_power(scaled, ctx.sides) - power
+    diff_d = dist_sq_between(scaled, ctx.q_pt, ctx.sides) - dist
+    rel = max(abs(diff_cp) / max(1.0, abs(power)), abs(diff_d) / max(1.0, abs(dist)))
+    return max(abs(diff_cp), abs(diff_d)), rel, p
 
-        s1 = power_sum(sides, 1)
-        s2 = power_sum(sides, 2)
-        exp_s1 = 2.0 * el.semiperimeter
-        exp_s2 = 2.0 * (s_sq - el.inradius * el.inradius
-                        - 4.0 * el.circumradius * el.inradius)
-        rel = max(abs(s1 - exp_s1) / exp_s1, abs(s2 - exp_s2) / s2)
-        self._rec("classical_power_sum_identities", ctx,
-                  max(abs(s1 - exp_s1), abs(s2 - exp_s2)), rel)
 
-        if ctx.exact_now:
-            es = ctx.exact_sides
-            inc_e = incenter(es)
-            nag_e = nagel_point(es)
-            ok = _parts_agree(general_cos_parts(inc_e, nag_e, es), classical_cos_parts(es))
-            cen_e = centroid(es)
-            ok = ok and _parts_agree(
-                general_cos_parts(cen_e, inc_e, es), centroid_incenter_cos_parts(es))
-            ok = ok and _parts_agree(rank_pair_parts(0, 1, es), centroid_incenter_cos_parts(es))
-            ok = ok and _parts_agree(rank_pair_parts(1, 2, es), incenter_lemoine_cos_parts(es))
-            self._rec("classical_parts_exact_identity", ctx,
-                      0.0 if ok else 1.0, 0.0 if ok else 1.0)
+@_check("kernel", 0.0)
+def kernel_exact_scale_invariance(ctx):
+    es = ctx.exact_sides
+    k, l, m = ctx.rank_ints
+    p = BaryPoint(Fraction(k + 4), Fraction(l + 5), Fraction(m + 6))
+    q = BaryPoint(Fraction(m + 5), Fraction(k + 5), Fraction(l + 5))
+    power, dist = circum_power(p, es), dist_sq_between(p, q, es)
+    ok = True
+    for factor in (Fraction(2), Fraction(-1)):
+        scaled = BaryPoint(p.t1 * factor, p.t2 * factor, p.t3 * factor)
+        ok = ok and circum_power(scaled, es) == power and dist_sq_between(scaled, q, es) == dist
+    return _exact(ok)
 
-        if el.is_equilateral:
-            self._skip("diag_incenter_lemoine_halved")
-        else:
-            trusted = incenter_lemoine_cos(el)
-            if abs(trusted) < 1e-6:
-                self._skip("diag_incenter_lemoine_halved")
-            else:
-                ratio = incenter_lemoine_cos_halved(el) / trusted
-                self._rec("diag_incenter_lemoine_halved", ctx,
-                          abs(ratio - 0.5), abs(ratio - 0.5))
 
-        variant = centroid_lemoine_cos_variant(el)
-        acc = self.checks["diag_centroid_lemoine_radicand"]
-        if variant is None:
-            acc.counters["radicand_nonpositive"] += 1
-            acc.skip()
-        else:
-            acc.counters["radicand_positive"] += 1
-            self._rec("diag_centroid_lemoine_radicand", ctx, abs(variant), abs(variant))
+@_check("kernel", 1e-10)
+def kernel_euler_chain_powers(ctx):
+    big_r, in_r = ctx.elements.circumradius, ctx.elements.inradius
+    cp_i = circum_power(ctx.incenter_pt, ctx.sides)
+    cp_n = circum_power(ctx.nagel_pt, ctx.sides)
+    exp_i = 2.0 * big_r * in_r
+    exp_n = 4.0 * big_r * in_r - 4.0 * in_r * in_r
+    return (max(abs(cp_i - exp_i), abs(cp_n - exp_n)),
+            max(_rel_gap(cp_i, exp_i, ctx.min_leg), _rel_gap(cp_n, exp_n, ctx.min_leg)))
 
-    # -- dual --------------------------------------------------------------
 
-    def run_dual(self, ctx: _Sample) -> None:
-        sides, el, r_sq = ctx.sides, ctx.elements, ctx.r_sq
-        big_r = el.circumradius
-        exradii = {"A": el.exradius_a, "B": el.exradius_b, "C": el.exradius_c}
-        side_of = {"A": sides.a, "B": sides.b, "C": sides.c}
+@_check("kernel", 1e-11)
+def kernel_side_product_identities(ctx):
+    sides, el = ctx.sides, ctx.elements
+    s, in_r = el.semiperimeter, el.inradius
+    lhs1 = (s - sides.a) * (s - sides.b) * (s - sides.c)
+    rhs1 = in_r * in_r * s
+    lhs2 = sides.a * sides.b * sides.c
+    rhs2 = 4.0 * el.circumradius * in_r * s
+    return (max(abs(lhs1 - rhs1), abs(lhs2 - rhs2)),
+            max(_rel_gap(lhs1, rhs1, 1e-12 * ctx.r_sq), abs(lhs2 - rhs2) / abs(rhs2)))
 
-        worst_closed = 0.0
-        worst_exc = 0.0
-        worst_adj = 0.0
-        worst_leg = 0.0
-        worst_bound = 0.0
-        worst_sum = 0.0
-        worst_pt = None
-        for vertex in VERTICES:
-            exc = excenter(vertex, sides)
-            adj = adjoint_nagel(vertex, sides)
-            r_v = exradii[vertex]
 
-            rep = cos_angle_at_circumcenter(exc, adj, sides)
-            closed = excenter_adjoint_cos(vertex, el)
-            diff = abs(closed - rep.cos_value)
-            if diff > worst_closed:
-                worst_closed = diff
-                worst_pt = exc
+@_check("kernel", 1e-9)
+def kernel_relabel_invariance(ctx):
+    sides = ctx.sides
+    rotated = TriangleSides(sides.b, sides.c, sides.a)
+    k, l, m = ctx.rank_ints
+    pairs = (
+        (ctx.incenter_pt, incenter(rotated)),
+        (ctx.nagel_pt, nagel_point(rotated)),
+        (ctx.lemoine_pt, lemoine_point(rotated)),
+        (cevian_rank(k, l, m, sides), cevian_rank(k, l, m, rotated)),
+        (excenter("B", sides), excenter("A", rotated)),
+        (adjoint_nagel("B", sides), adjoint_nagel("A", rotated)),
+    )
+    worst = 0.0
+    for original, relabeled in pairs:
+        xy = oracle.barycentric_to_cartesian(original.as_tuple(), ctx.placement)
+        w1, w2, w3 = relabeled.as_tuple()
+        xy_rot = oracle.barycentric_to_cartesian((w3, w1, w2), ctx.placement)
+        worst = max(worst, math.sqrt(oracle.dist_sq(xy, xy_rot) / ctx.r_sq))
+    return worst, worst
 
-            exp_cp = -2.0 * big_r * r_v
-            got_cp = circum_power(exc, sides)
-            worst_exc = max(worst_exc,
-                            abs(got_cp - exp_cp) / max(abs(exp_cp), 1e-12 * r_sq))
 
-            exp_cp = -4.0 * big_r * r_v - 4.0 * r_v * r_v
-            got_cp = circum_power(adj, sides)
-            worst_adj = max(worst_adj,
-                            abs(got_cp - exp_cp) / max(abs(exp_cp), 1e-12 * r_sq))
+@_check("kernel", 1e-9)
+def kernel_foot_ratio_vs_oracle(ctx):
+    pos, placement = ctx.pos_pt, ctx.placement
+    foot_d, _, _ = cevian_triangle(pos)
+    d_xy = oracle.barycentric_to_cartesian(foot_d.as_tuple(), placement)
+    lhs = oracle.dist_sq(placement.b_xy, d_xy) * pos.t2 * pos.t2
+    rhs = oracle.dist_sq(d_xy, placement.c_xy) * pos.t3 * pos.t3
+    return abs(lhs - rhs), abs(lhs - rhs) / max(lhs, rhs, 1e-12 * ctx.r_sq), pos
 
-            oi_sq = float(rep.op_sq)
-            on_sq = float(rep.oq_sq)
-            exp_oi = r_sq + 2.0 * big_r * r_v
-            exp_on = (big_r + 2.0 * r_v) ** 2
-            worst_leg = max(worst_leg,
-                            abs(oi_sq - exp_oi) / exp_oi,
-                            abs(on_sq - exp_on) / exp_on)
 
-            residual = dual_bound_residual(vertex, el)
-            scale = max(r_sq, big_r * r_v)
-            worst_bound = max(worst_bound, max(0.0, -residual) / scale)
+# -- classical -------------------------------------------------------------
 
-            total = adj.t1 + adj.t2 + adj.t3
-            expected = el.semiperimeter - side_of[vertex]
-            worst_sum = max(worst_sum,
-                            abs(total - expected) / max(abs(expected),
-                                                        1e-6 * el.semiperimeter))
 
-        self._rec("dual_closed_vs_general", ctx, worst_closed, worst_closed, p=worst_pt)
-        self._rec("dual_excenter_power_identity", ctx, worst_exc, worst_exc)
-        self._rec("dual_adjoint_power_identity", ctx, worst_adj, worst_adj)
-        self._rec("dual_leg_identities", ctx, worst_leg, worst_leg)
-        self._rec("dual_bound_nonneg", ctx, worst_bound, worst_bound)
-        self._rec("dual_adjoint_weight_sums", ctx, worst_sum, worst_sum)
+@_check("classical", 1e-10)
+def classical_closed_vs_general(ctx):
+    return _closed_vs_general(ctx, ctx.incenter_pt, ctx.nagel_pt, classical_cos_ION)
 
-        lhs, rhs = exradii_identity_parts(sides)
-        rel = abs(lhs - rhs) / abs(rhs)
-        self._rec("dual_exradii_identity", ctx, abs(lhs - rhs), rel)
 
-        if ctx.exact_now:
-            es = ctx.exact_sides
-            ok_slack = all(dual_slack_sq(vertex, es) >= 0 for vertex in VERTICES)
-            self._rec("dual_slack_exact", ctx,
-                      0.0 if ok_slack else 1.0, 0.0 if ok_slack else 1.0)
-            exc_e = excenter("A", es)
-            adj_e = adjoint_nagel("A", es)
-            ok_parts = _parts_agree(
-                general_cos_parts(exc_e, adj_e, es), dual_cos_parts("A", es))
-            self._rec("dual_parts_exact_identity", ctx,
-                      0.0 if ok_parts else 1.0, 0.0 if ok_parts else 1.0)
-            lhs_e, rhs_e = exradii_identity_parts(es)
-            exact_zero = lhs_e - rhs_e == 0
-            self._rec("dual_exradii_exact", ctx,
-                      0.0 if exact_zero else abs(float(lhs_e - rhs_e)),
-                      0.0 if exact_zero else 1.0)
+@_check("classical", 1e-10)
+def classical_fundamental_nonneg(ctx):
+    s = ctx.elements.semiperimeter
+    viol = max(0.0, -fundamental_residual(ctx.elements))
+    return viol, viol / (s * s)
 
-    # -- cevian ------------------------------------------------------------
 
-    def run_cevian(self, ctx: _Sample) -> None:
-        sides, r_sq = ctx.sides, ctx.r_sq
-        min_leg = COMPARISON_GUARD * r_sq
+@_check("classical", 0.0)
+def classical_fundamental_slack_exact(ctx):
+    slack = fundamental_slack_sq(ctx.exact_sides)
+    return _exact(slack >= 0, float(-slack))
 
-        k1, k2 = ctx.rank_pair
-        point_k1 = cevian_rank(k1, 0, 0, sides)
-        point_k2 = cevian_rank(k2, 0, 0, sides)
-        rep = cos_angle_at_circumcenter(point_k1, point_k2, sides)
-        try:
-            got = rank_pair_cos(k1, k2, sides)
-        except UndefinedAngle:
-            self._skip("cevian_rank_pair_vs_general")
-        else:
-            if rep.cos_value is None or min(rep.op_sq, rep.oq_sq) < min_leg:
-                self._skip("cevian_rank_pair_vs_general")
-            else:
-                diff = got - rep.cos_value
-                self._rec("cevian_rank_pair_vs_general", ctx, diff, abs(diff),
-                          p=point_k1, q=point_k2)
 
-        worst = 0.0
-        for exponent, named in ((1, incenter(sides)), (0, centroid(sides)),
-                                (2, lemoine_point(sides))):
-            got_n = cevian_rank(exponent, 0, 0, sides).normalized()
-            exp_n = named.normalized()
-            worst = max(worst, max(abs(g - e) for g, e in zip(got_n, exp_n)))
-        self._rec("cevian_rank_special_points", ctx, worst, worst)
+@_check("classical", 1e-9)
+def classical_bounds_sandwich(ctx):
+    bounds = ctx.pq_report.bounds
+    viol = max(0.0, abs(bounds.middle) - bounds.upper)
+    return viol, viol / max(1.0, bounds.upper), ctx.p_pt, ctx.q_pt
 
-        trip_value = None
-        try:
-            trip_value = triple_cevian_cos(ctx.p_pt, ctx.q_pt, ctx.extra_pt, sides)
-        except DegenerateVertexAngle:
-            self._skip("cevian_triple_vs_oracle")
-            self._skip("cevian_triple_reversal")
-            self._skip("diag_triple_expansion_sign")
-        if trip_value is not None:
-            try:
-                exp_cos = oracle.angle_cos(ctx.q_xy, ctx.p_xy, ctx.extra_xy,
-                                           min_leg_sq=min_leg)
-            except UndefinedAngle:
-                self._skip("cevian_triple_vs_oracle")
-            else:
-                diff = trip_value - exp_cos
-                self._rec("cevian_triple_vs_oracle", ctx, diff, abs(diff),
-                          p=ctx.p_pt, q=ctx.q_pt)
-            reversed_value = triple_cevian_cos(ctx.extra_pt, ctx.q_pt, ctx.p_pt, sides)
-            diff = trip_value - reversed_value
-            self._rec("cevian_triple_reversal", ctx, diff, abs(diff),
-                      p=ctx.p_pt, q=ctx.q_pt)
-            try:
-                variant = triple_cevian_cos_variant(ctx.p_pt, ctx.q_pt, ctx.extra_pt, sides)
-            except DegenerateVertexAngle:
-                self._skip("diag_triple_expansion_sign")
-            else:
-                diff = variant - trip_value
-                self._rec("diag_triple_expansion_sign", ctx, abs(diff), abs(diff))
 
-        foot_d, foot_e, _ = cevian_triangle(ctx.pos_pt)
-        rep = cos_angle_at_circumcenter(foot_d, foot_e, sides)
-        if rep.cos_value is None or min(rep.op_sq, rep.oq_sq) < min_leg:
-            self._skip("cevian_feet_cos_vs_oracle")
-        else:
-            d_xy = oracle.barycentric_to_cartesian(foot_d.as_tuple(), ctx.placement)
-            e_xy = oracle.barycentric_to_cartesian(foot_e.as_tuple(), ctx.placement)
-            try:
-                exp_cos = oracle.angle_cos(ctx.o_xy, d_xy, e_xy, min_leg_sq=min_leg)
-            except UndefinedAngle:
-                self._skip("cevian_feet_cos_vs_oracle")
-            else:
-                diff = rep.cos_value - exp_cos
-                self._rec("cevian_feet_cos_vs_oracle", ctx, diff, abs(diff), p=ctx.pos_pt)
+@_check("classical", 1e-8)
+def classical_collinear_opposite_equality(ctx):
+    return _collinear_equality(ctx, oracle.reflect_through(ctx.p_xy, ctx.o_xy), -1.0)
 
-    _SUITE_RUNNERS = {
-        "kernel": run_kernel,
-        "classical": run_classical,
-        "dual": run_dual,
-        "cevian": run_cevian,
-    }
 
-    def run(self) -> VerificationReport:
-        strata = list(self.config.strata)
-        if self.config.corpus:
-            strata.append("corpus")
-        contexts = 0
-        for stratum in strata:
-            total = len(self.config.corpus) if stratum == "corpus" else self.config.count
-            for index in range(total):
-                ctx = _Sample(stratum, index, self.config)
-                contexts += 1
-                for suite in self.suites:
-                    self._SUITE_RUNNERS[suite](self, ctx)
-        ordered = [self.checks[name] for name, suite, _ in _CHECK_TABLE
-                   if suite in self.suites]
-        return VerificationReport(config=self.config, checks=ordered, contexts=contexts)
+@_check("classical", 1e-8)
+def classical_collinear_same_side_equality(ctx):
+    halfway = (0.5 * (ctx.p_xy[0] + ctx.o_xy[0]), 0.5 * (ctx.p_xy[1] + ctx.o_xy[1]))
+    return _collinear_equality(ctx, halfway, 1.0)
+
+
+@_check("classical", 1e-9)
+def classical_nagel_line_ratio(ctx):
+    ig_sq, in_sq = ctx.nagel_legs
+    diff = 9.0 * ig_sq - in_sq
+    return abs(diff), abs(diff) / max(in_sq, ctx.min_leg)
+
+
+@_check("classical", 1e-8)
+def classical_nagel_line_collinearity(ctx):
+    if min(ctx.nagel_legs) < ctx.min_leg:
+        return None
+    try:
+        along = triple_cevian_cos(ctx.incenter_pt, ctx.centroid_pt, ctx.nagel_pt, ctx.sides)
+    except DegenerateVertexAngle:
+        return None
+    viol = abs(1.0 - abs(along))
+    return viol, viol
+
+
+@_check("classical", 1e-10)
+def classical_rank01_closed_vs_general(ctx):
+    return _closed_vs_general(ctx, ctx.centroid_pt, ctx.incenter_pt, centroid_incenter_cos)
+
+
+@_check("classical", 1e-10)
+def classical_rank12_closed_vs_general(ctx):
+    return _closed_vs_general(ctx, ctx.incenter_pt, ctx.lemoine_pt, incenter_lemoine_cos)
+
+
+@_check("classical", 1e-11)
+def classical_power_sum_identities(ctx):
+    el = ctx.elements
+    s1 = power_sum(ctx.sides, 1)
+    s2 = power_sum(ctx.sides, 2)
+    exp_s1 = 2.0 * el.semiperimeter
+    exp_s2 = 2.0 * (el.semiperimeter * el.semiperimeter - el.inradius * el.inradius
+                    - 4.0 * el.circumradius * el.inradius)
+    return (max(abs(s1 - exp_s1), abs(s2 - exp_s2)),
+            max(abs(s1 - exp_s1) / exp_s1, abs(s2 - exp_s2) / s2))
+
+
+@_check("classical", 0.0)
+def classical_parts_exact_identity(ctx):
+    es = ctx.exact_sides
+    inc, cen = incenter(es), centroid(es)
+    return _exact(
+        _parts_agree(general_cos_parts(inc, nagel_point(es), es), classical_cos_parts(es))
+        and _parts_agree(general_cos_parts(cen, inc, es), centroid_incenter_cos_parts(es))
+        and _parts_agree(rank_pair_parts(0, 1, es), centroid_incenter_cos_parts(es))
+        and _parts_agree(rank_pair_parts(1, 2, es), incenter_lemoine_cos_parts(es)))
+
+
+@_check("classical", 0.0, note=(
+    "closed-form variant carrying an extra factor 2; residual is the "
+    "distance of its ratio to the trusted value from one half"))
+def diag_incenter_lemoine_halved(ctx):
+    if ctx.elements.is_equilateral:
+        return None
+    trusted = incenter_lemoine_cos(ctx.elements)
+    if abs(trusted) < 1e-6:
+        return None
+    gap = abs(incenter_lemoine_cos_halved(ctx.elements) / trusted - 0.5)
+    return gap, gap
+
+
+@_check("classical", 0.0, note=(
+    "closed-form variant whose second radicand mixes scale degrees; "
+    "counters show how often it is non-positive, and real values land "
+    "outside [-1, 1]"))
+def diag_centroid_lemoine_radicand(ctx):
+    variant = centroid_lemoine_cos_variant(ctx.elements)
+    if variant is None:
+        return None
+    return abs(variant), abs(variant)
+
+
+# -- dual ------------------------------------------------------------------
+
+
+@_check("dual", 1e-10)
+def dual_closed_vs_general(ctx):
+    worst, worst_pt = 0.0, None
+    for vertex, exc, _, _, report in ctx.dual_rows:
+        diff = abs(excenter_adjoint_cos(vertex, ctx.elements) - report.cos_value)
+        if diff > worst:
+            worst, worst_pt = diff, exc
+    return worst, worst, worst_pt
+
+
+@_check("dual", 1e-9)
+def dual_excenter_power_identity(ctx):
+    big_r, floor = ctx.elements.circumradius, 1e-12 * ctx.r_sq
+    worst = max(0.0, *(_rel_gap(circum_power(exc, ctx.sides), -2.0 * big_r * r_v, floor)
+                       for _, exc, _, r_v, _ in ctx.dual_rows))
+    return worst, worst
+
+
+@_check("dual", 1e-9)
+def dual_adjoint_power_identity(ctx):
+    big_r, floor = ctx.elements.circumradius, 1e-12 * ctx.r_sq
+    worst = max(0.0, *(_rel_gap(circum_power(adj, ctx.sides),
+                                -4.0 * big_r * r_v - 4.0 * r_v * r_v, floor)
+                       for _, _, adj, r_v, _ in ctx.dual_rows))
+    return worst, worst
+
+
+@_check("dual", 1e-9)
+def dual_leg_identities(ctx):
+    big_r = ctx.elements.circumradius
+    worst = 0.0
+    for _, _, _, r_v, report in ctx.dual_rows:
+        exp_oi = ctx.r_sq + 2.0 * big_r * r_v
+        exp_on = (big_r + 2.0 * r_v) ** 2
+        worst = max(worst, abs(float(report.op_sq) - exp_oi) / exp_oi,
+                    abs(float(report.oq_sq) - exp_on) / exp_on)
+    return worst, worst
+
+
+@_check("dual", 1e-9)
+def dual_bound_nonneg(ctx):
+    big_r = ctx.elements.circumradius
+    worst = max(0.0, *(max(0.0, -dual_bound_residual(vertex, ctx.elements))
+                       / max(ctx.r_sq, big_r * r_v)
+                       for vertex, _, _, r_v, _ in ctx.dual_rows))
+    return worst, worst
+
+
+@_check("dual", 0.0)
+def dual_slack_exact(ctx):
+    return _exact(all(dual_slack_sq(vertex, ctx.exact_sides) >= 0 for vertex in VERTICES))
+
+
+@_check("dual", 0.0)
+def dual_parts_exact_identity(ctx):
+    es = ctx.exact_sides
+    general = general_cos_parts(excenter("A", es), adjoint_nagel("A", es), es)
+    return _exact(_parts_agree(general, dual_cos_parts("A", es)))
+
+
+@_check("dual", 1e-10)
+def dual_exradii_identity(ctx):
+    lhs, rhs = exradii_identity_parts(ctx.sides)
+    return abs(lhs - rhs), abs(lhs - rhs) / abs(rhs)
+
+
+@_check("dual", 0.0)
+def dual_exradii_exact(ctx):
+    lhs, rhs = exradii_identity_parts(ctx.exact_sides)
+    return _exact(lhs - rhs == 0, abs(float(lhs - rhs)))
+
+
+@_check("dual", 1e-12)
+def dual_adjoint_weight_sums(ctx):
+    s = ctx.elements.semiperimeter
+    worst = max(0.0, *(_rel_gap(adj.t1 + adj.t2 + adj.t3, s - side, 1e-6 * s)
+                       for (_, _, adj, _, _), side in zip(ctx.dual_rows, ctx.sides.as_tuple())))
+    return worst, worst
+
+
+# -- cevian ----------------------------------------------------------------
+
+
+@_check("cevian", 1e-9)
+def cevian_rank_pair_vs_general(ctx):
+    k1, k2 = ctx.rank_pair
+    try:
+        got = rank_pair_cos(k1, k2, ctx.sides)
+    except UndefinedAngle:
+        return None
+    p = cevian_rank(k1, 0, 0, ctx.sides)
+    q = cevian_rank(k2, 0, 0, ctx.sides)
+    report = cos_angle_at_circumcenter(p, q, ctx.sides)
+    if _short_leg(report, ctx):
+        return None
+    diff = got - report.cos_value
+    return diff, abs(diff), p, q
+
+
+@_check("cevian", 1e-12)
+def cevian_rank_special_points(ctx):
+    worst = 0.0
+    for exponent, named in ((1, ctx.incenter_pt), (0, ctx.centroid_pt), (2, ctx.lemoine_pt)):
+        got = cevian_rank(exponent, 0, 0, ctx.sides).normalized()
+        worst = max(worst, max(abs(g - e) for g, e in zip(got, named.normalized())))
+    return worst, worst
+
+
+@_check("cevian", 1e-9)
+def cevian_triple_vs_oracle(ctx):
+    if ctx.triple_cos is None:
+        return None
+    try:
+        expected = oracle.angle_cos(ctx.q_xy, ctx.p_xy, ctx.extra_xy, min_leg_sq=ctx.min_leg)
+    except UndefinedAngle:
+        return None
+    diff = ctx.triple_cos - expected
+    return diff, abs(diff), ctx.p_pt, ctx.q_pt
+
+
+@_check("cevian", 1e-9)
+def cevian_feet_cos_vs_oracle(ctx):
+    foot_d, foot_e, _ = cevian_triangle(ctx.pos_pt)
+    report = cos_angle_at_circumcenter(foot_d, foot_e, ctx.sides)
+    if _short_leg(report, ctx):
+        return None
+    d_xy = oracle.barycentric_to_cartesian(foot_d.as_tuple(), ctx.placement)
+    e_xy = oracle.barycentric_to_cartesian(foot_e.as_tuple(), ctx.placement)
+    try:
+        expected = oracle.angle_cos(ctx.o_xy, d_xy, e_xy, min_leg_sq=ctx.min_leg)
+    except UndefinedAngle:
+        return None
+    diff = report.cos_value - expected
+    return diff, abs(diff), ctx.pos_pt
+
+
+@_check("cevian", 1e-12)
+def cevian_triple_reversal(ctx):
+    if ctx.triple_cos is None:
+        return None
+    diff = ctx.triple_cos - triple_cevian_cos(ctx.extra_pt, ctx.q_pt, ctx.p_pt, ctx.sides)
+    return diff, abs(diff), ctx.p_pt, ctx.q_pt
+
+
+@_check("cevian", 0.0, note=(
+    "printed numerator expansion with one sign group flipped; residual "
+    "is its distance to the trusted vertex-angle cosine"))
+def diag_triple_expansion_sign(ctx):
+    if ctx.triple_cos is None:
+        return None
+    try:
+        variant = triple_cevian_cos_variant(ctx.p_pt, ctx.q_pt, ctx.extra_pt, ctx.sides)
+    except DegenerateVertexAngle:
+        return None
+    gap = abs(variant - ctx.triple_cos)
+    return gap, gap
 
 
 def run_fuzz(config: FuzzConfig) -> VerificationReport:
     """Execute every enabled check over the configured strata."""
-    return _Runner(config).run()
+    suites = config.enabled_suites()
+    active = []
+    for run, suite, tolerance, note in _CHECKS:
+        if suite in suites:
+            acc = CheckAccumulator(run.__name__, suite, tolerance, note)
+            active.append((run, tolerance == 0.0 and not acc.advisory, acc))
+    strata = list(config.strata)
+    if config.corpus:
+        strata.append("corpus")
+    contexts = 0
+    for stratum in strata:
+        total = len(config.corpus) if stratum == "corpus" else config.count
+        for index in range(total):
+            ctx = _Sample(stratum, index, config)
+            contexts += 1
+            for run, exact, acc in active:
+                if exact and not ctx.exact_now:
+                    continue
+                result = run(ctx)
+                if result is None:
+                    acc.skipped += 1
+                else:
+                    acc.record(ctx, *result)
+    return VerificationReport(config=config, checks=[acc for _, _, acc in active],
+                              contexts=contexts)

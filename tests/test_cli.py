@@ -162,6 +162,8 @@ class TestCos:
         ("cos", "--sides", "1e60,1e60,1.5e60", "--p", "incenter", "--q", "nagel"),
         ("cos", "--sides", "1e-200,1e-200,1.5e-200", "--p", "incenter", "--q", "nagel"),
         ("derive", "--exact", "--sides", "1e400,1e400,1e400"),
+        ("cos", "--sides", "3,4,5", "--p", "cevian:700,0,0", "--q", "incenter"),
+        ("center", "--sides", "3,4,5", "--spec", "cevian:1e6,0,0"),
     ])
     def test_extreme_side_magnitudes_exit_one(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)

@@ -198,6 +198,17 @@ class TestRunFuzz:
         total = sum(check.counters.values())
         assert total == report.contexts
 
+    def test_every_check_runs_once_per_context_it_applies_to(self):
+        config = FuzzConfig(count=32, seed=7)
+        report = run_fuzz(config)
+        stride_contexts = len(range(0, config.count, config.exact_stride)) * len(VALID_STRATA)
+        for check in report.checks:
+            exact = check.tolerance == 0.0 and not check.advisory
+            expected = stride_contexts if exact else report.contexts
+            assert check.samples + check.skipped == expected, check.name
+            if not check.advisory:
+                assert check.samples > 0, check.name
+
     def test_triple_diagnostic_sees_large_disagreement(self):
         report = run_fuzz(SMALL)
         check = next(c for c in report.checks if c.name == "diag_triple_expansion_sign")
