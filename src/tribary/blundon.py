@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import kernel
-from .errors import DegenerateVertexAngle, EquilateralDegenerate, UndefinedAngle
+from .errors import DegenerateTriangle, DegenerateVertexAngle, EquilateralDegenerate, UndefinedAngle
 from .kernel import BaryPoint, TriangleElements, TriangleSides
 
 # Relative threshold (against R^2) below which a leg OP is numerically zero
@@ -102,10 +102,15 @@ def cos_angle_at_circumcenter(p: BaryPoint, q: BaryPoint, sides: TriangleSides) 
     r_sq, op_sq, oq_sq, pq_sq = _legs(p, q, sides)
     middle = op_sq + oq_sq - pq_sq
     product = op_sq * oq_sq
-    upper = 2.0 * math.sqrt(max(float(product), 0.0))
+    try:
+        upper = 2.0 * math.sqrt(max(float(product), 0.0))
+    except OverflowError as exc:
+        raise DegenerateTriangle("OP^2 OQ^2 exceeds the float range") from exc
     bounds = BoundTriple(-upper, middle, upper)
     if product <= (EPS_ANGLE * EPS_ANGLE) * r_sq * r_sq:
         return AngleReport(None, op_sq, oq_sq, pq_sq, bounds, CLASS_UNDEFINED)
+    if upper == 0.0:  # only an exact product can underflow here
+        raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")
     cos_value = _clamp(float(middle) / upper)
     if 1.0 - cos_value <= EPS_COLLINEAR:
         classification = CLASS_COLLINEAR_SAME_SIDE
@@ -125,16 +130,6 @@ def blundon_bounds(p: BaryPoint, q: BaryPoint, sides: TriangleSides) -> BoundTri
 # incenter / Nagel specialization and the fundamental inequality
 
 
-def _euler_terms(sides: TriangleSides, side=0):
-    """(s, R^2, R rho, rho^2), rational in the sides, with rho = area / (s - side):
-    the inradius for side 0, else the exradius opposite that side."""
-    s = kernel.semiperimeter(sides)
-    gap = s - side
-    area_sq = kernel.area_sq(sides)
-    abc = sides.a * sides.b * sides.c
-    return s, abc * abc / (16 * area_sq), abc / (4 * gap), area_sq / (gap * gap)
-
-
 def _closed_form_cos(parts, elements: TriangleElements, points: str) -> float:
     """cos from parts; a float radicand can cancel to <= 0 short of is_equilateral."""
     numerator, radicand = parts(elements.sides)
@@ -145,7 +140,7 @@ def _closed_form_cos(parts, elements: TriangleElements, points: str) -> float:
 
 def classical_cos_parts(sides: TriangleSides):
     """(numerator, radicand) of cos ION as rational functions of the sides."""
-    s, r_sq, rr, i_sq = _euler_terms(sides)
+    s, r_sq, rr, i_sq = kernel.euler_terms(sides)
     numerator = 2 * r_sq + 10 * rr - i_sq - s * s
     # (2 (R - 2r) sqrt(R^2 - 2Rr))^2, with (R - 2r)^2 expanded rationally
     radicand = 4 * (r_sq - 4 * rr + 4 * i_sq) * (r_sq - 2 * rr)
@@ -188,7 +183,7 @@ def fundamental_slack_sq(sides: TriangleSides):
 def dual_cos_parts(vertex: str, sides: TriangleSides):
     """(numerator, radicand) of cos at O between the excenter and adjoint
     points opposite the given vertex, rational in the sides."""
-    _, r_sq, rr_v, rv_sq = _euler_terms(sides, getattr(sides, vertex.lower()))
+    _, r_sq, rr_v, rv_sq = kernel.euler_terms(sides, getattr(sides, vertex.lower()))
     quarter = kernel.power_sum(sides, 2) / 4
     numerator = r_sq - 3 * rr_v - rv_sq - quarter
     # ((R + 2 r_v) sqrt(R^2 + 2 R r_v))^2 without individual square roots
@@ -301,7 +296,7 @@ def rank_pair_cos(k1, k2, sides: TriangleSides) -> float:
 
 def centroid_incenter_cos_parts(sides: TriangleSides):
     """(numerator, radicand) of the rank (0, 1) closed form (centroid vs incenter)."""
-    s, r_sq, rr, i_sq = _euler_terms(sides)
+    s, r_sq, rr, i_sq = kernel.euler_terms(sides)
     numerator = 6 * r_sq - s * s - i_sq + 2 * rr
     radicand = 4 * (9 * r_sq - 2 * s * s + 2 * i_sq + 8 * rr) * (r_sq - 2 * rr)
     return numerator, radicand
@@ -318,7 +313,7 @@ def incenter_lemoine_cos_parts(sides: TriangleSides):
     numerator R^2 S2 + R r S2 - 4 R r s^2, radicand R^2 (R^2 - 2Rr)
     (S2^2 - 48 r^2 s^2).
     """
-    s, r_sq, rr, i_sq = _euler_terms(sides)
+    s, r_sq, rr, i_sq = kernel.euler_terms(sides)
     s2 = kernel.power_sum(sides, 2)
     numerator = r_sq * s2 + rr * s2 - 4 * rr * s * s
     radicand = r_sq * (r_sq - 2 * rr) * (s2 * s2 - 48 * i_sq * s * s)

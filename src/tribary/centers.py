@@ -19,18 +19,6 @@ from .kernel import BaryPoint, TriangleSides, pow_keep_exact, semiperimeter
 
 VERTICES = ("A", "B", "C")
 
-# kind -> requires vertex, number of numeric parameters
-_KIND_SHAPES = {
-    "incenter": (False, 0),
-    "centroid": (False, 0),
-    "nagel": (False, 0),
-    "lemoine": (False, 0),
-    "excenter": (True, 0),
-    "adjnagel": (True, 0),
-    "cevian": (False, 3),
-    "raw": (False, 3),
-}
-
 
 @dataclass(frozen=True)
 class CenterSpec:
@@ -41,12 +29,12 @@ class CenterSpec:
     params: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.kind not in _KIND_SHAPES:
+        if self.kind not in _KINDS:
             raise CenterSpecError(f"unknown point kind {self.kind!r}")
-        needs_vertex, n_params = _KIND_SHAPES[self.kind]
-        if needs_vertex:
+        _, takes_vertex, n_params = _KINDS[self.kind]
+        if takes_vertex:
             if self.vertex not in VERTICES:
-                raise CenterSpecError(f"{self.kind} needs a vertex A, B, or C")
+                raise CenterSpecError(f"{self.kind} needs a vertex A, B, or C, got {self.vertex!r}")
         elif self.vertex is not None:
             raise CenterSpecError(f"{self.kind} does not take a vertex")
         if len(self.params) != n_params:
@@ -125,6 +113,23 @@ def cevian_rank(k, l, m, sides: TriangleSides) -> BaryPoint:
     )
 
 
+def _raw_point(t1, t2, t3, sides: TriangleSides) -> BaryPoint:
+    return BaryPoint(t1, t2, t3)
+
+
+# kind -> (generator, takes a vertex, number of numeric parameters)
+_KINDS = {
+    "incenter": (incenter, False, 0),
+    "centroid": (centroid, False, 0),
+    "nagel": (nagel_point, False, 0),
+    "lemoine": (lemoine_point, False, 0),
+    "excenter": (excenter, True, 0),
+    "adjnagel": (adjoint_nagel, True, 0),
+    "cevian": (cevian_rank, False, 3),
+    "raw": (_raw_point, False, 3),
+}
+
+
 def cevian_triangle(p: BaryPoint) -> tuple[BaryPoint, BaryPoint, BaryPoint]:
     """Feet of the three cevians through p, on sides BC, CA, AB in that order.
 
@@ -144,26 +149,17 @@ def parse_center_spec(text: str, exact: bool = False) -> CenterSpec:
     """Parse descriptors like ``incenter``, ``excenter:B``, ``cevian:1,0,2``,
     or ``raw:0.3,-1,2``.  Case-insensitive; numbers may be decimals, and in
     exact mode they are read as rationals (``1.5`` and ``3/2`` both work).
+    Only the syntax is checked here; CenterSpec checks the kind's shape.
     """
     head, _, tail = text.strip().partition(":")
     kind = head.strip().lower()
-    if kind not in _KIND_SHAPES:
+    if kind not in _KINDS:
         raise CenterSpecError(f"unknown point kind {head.strip()!r}")
-    needs_vertex, n_params = _KIND_SHAPES[kind]
     tail = tail.strip()
-    if needs_vertex:
-        vertex = tail.upper()
-        if vertex not in VERTICES:
-            raise CenterSpecError(f"{kind} needs a vertex A, B, or C, got {tail!r}")
-        return CenterSpec(kind, vertex=vertex)
-    if n_params == 0:
-        if tail:
-            raise CenterSpecError(f"{kind} takes no parameters, got {tail!r}")
-        return CenterSpec(kind)
-    pieces = [piece.strip() for piece in tail.split(",")] if tail else []
-    if len(pieces) != n_params:
-        raise CenterSpecError(f"{kind} takes {n_params} comma-separated numbers, got {tail!r}")
-    return CenterSpec(kind, params=tuple(_parse_number(piece, exact) for piece in pieces))
+    if _KINDS[kind][1]:
+        return CenterSpec(kind, vertex=tail.upper())
+    pieces = tail.split(",") if tail else []
+    return CenterSpec(kind, params=tuple(_parse_number(piece.strip(), exact) for piece in pieces))
 
 
 def _parse_number(text: str, exact: bool):
@@ -178,20 +174,9 @@ def _parse_number(text: str, exact: bool):
 
 def resolve(spec: CenterSpec, sides: TriangleSides) -> BaryPoint:
     """Evaluate a CenterSpec against concrete side lengths."""
-    if spec.kind == "incenter":
-        return incenter(sides)
-    if spec.kind == "centroid":
-        return centroid(sides)
-    if spec.kind == "nagel":
-        return nagel_point(sides)
-    if spec.kind == "lemoine":
-        return lemoine_point(sides)
-    if spec.kind == "excenter":
-        return excenter(spec.vertex, sides)
-    if spec.kind == "adjnagel":
-        return adjoint_nagel(spec.vertex, sides)
-    if spec.kind == "cevian":
-        return cevian_rank(*spec.params, sides)
-    if spec.kind == "raw":
-        return BaryPoint(*spec.params)
-    raise CenterSpecError(f"unknown point kind {spec.kind!r}")
+    generator, takes_vertex, n_params = _KINDS[spec.kind]
+    if takes_vertex:
+        return generator(spec.vertex, sides)
+    if n_params:
+        return generator(*spec.params, sides)
+    return generator(sides)

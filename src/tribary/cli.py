@@ -31,8 +31,7 @@ from .kernel import (
     circumradius_sq,
     derive_elements,
     dist_sq_between,
-    exradii_sq,
-    inradius_sq,
+    euler_terms,
     semiperimeter,
 )
 from .serialize import csv_cell, dumps, format_number
@@ -162,8 +161,9 @@ def _emit(data: dict, fmt: str, human_lines) -> None:
     elif fmt == "csv":
         flat: dict = {}
         _flatten(data, "", flat)
+        row = ",".join(csv_cell(value) for value in flat.values())  # may raise: print nothing yet
         print(",".join(flat.keys()))
-        print(",".join(csv_cell(value) for value in flat.values()))
+        print(row)
     else:
         for line in human_lines:
             print(line)
@@ -197,13 +197,13 @@ def _cmd_derive(args) -> int:
         "equilateral": elements.is_equilateral,
     }
     if args.exact:
-        ex_a, ex_b, ex_c = exradii_sq(sides)
+        ex_a, ex_b, ex_c = (euler_terms(sides, side)[3] for side in sides.as_tuple())
         data["exact"] = {
             "sides": list(sides.as_tuple()),
             "semiperimeter": semiperimeter(sides),
             "area_sq": area_sq(sides),
             "circumradius_sq": circumradius_sq(sides),
-            "inradius_sq": inradius_sq(sides),
+            "inradius_sq": euler_terms(sides)[3],
             "exradius_a_sq": ex_a,
             "exradius_b_sq": ex_b,
             "exradius_c_sq": ex_c,

@@ -11,6 +11,7 @@ produces floats.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -25,6 +26,8 @@ EPS_TRIANGLE = 1e-12
 # Relative width of the R - 2r gap below which a triangle counts as
 # equilateral for closed forms that divide by that gap.
 EPS_EQUILATERAL = 1e-12
+
+_BITS_PER_DIGIT = math.log2(10)
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,11 @@ class TriangleSides:
             raise DegenerateTriangle(f"non-positive side in ({a}, {b}, {c})")
         perimeter = a + b + c
         gap = min(a + b - c, b + c - a, c + a - b)
-        if gap <= EPS_TRIANGLE * perimeter:
+        try:
+            thin = gap <= EPS_TRIANGLE * perimeter
+        except OverflowError as exc:  # an exact perimeter past the float range
+            raise DegenerateTriangle("sides exceed the float range") from exc
+        if thin:
             raise DegenerateTriangle(f"triangle inequality fails for ({a}, {b}, {c})")
         if isinstance(perimeter, float):
             abc = a * b * c
@@ -115,29 +122,34 @@ def circumradius_sq(sides: TriangleSides):
     return abc * abc / (16 * area_sq(sides))
 
 
-def inradius_sq(sides: TriangleSides):
+def euler_terms(sides: TriangleSides, side=0):
+    """(s, R^2, R rho, rho^2), rational in the sides, with rho = area / (s - side):
+    the inradius for side 0, else the exradius opposite that side."""
     s = semiperimeter(sides)
-    return area_sq(sides) / (s * s)
-
-
-def exradii_sq(sides: TriangleSides):
-    """Squared exradii opposite A, B, C in that order."""
-    s = semiperimeter(sides)
-    sq = area_sq(sides)
-    ua, ub, uc = s - sides.a, s - sides.b, s - sides.c
-    return (sq / (ua * ua), sq / (ub * ub), sq / (uc * uc))
-
-
-def circum_inradius_product(sides: TriangleSides):
-    """The product R * r, which is rational: abc / (4s)."""
-    return sides.a * sides.b * sides.c / (4 * semiperimeter(sides))
+    gap = s - side
+    abc = sides.a * sides.b * sides.c
+    return s, circumradius_sq(sides), abc / (4 * gap), area_sq(sides) / (gap * gap)
 
 
 def pow_keep_exact(base, exponent):
-    """base ** exponent, exact for integral exponents; GeometryError on float overflow."""
+    """base ** exponent, exact for integral exponents; GeometryError on float overflow.
+
+    An exact (non-float) power that would have more digits than the
+    interpreter's int-string limit is refused with GeometryError before it is
+    computed, which bounds the time and memory an integral rank can cost.  The
+    test uses a lower bound on the power's size, (bit_length - 1) * |n| bits,
+    so a power it lets through is under about twice the limit.
+    """
     try:
         if exponent % 1 == 0:
-            return base ** int(exponent)
+            n = int(exponent)
+            if not isinstance(base, float) and abs(n) > 1:  # 0 and +-1 cannot grow the base
+                bits = max(base.numerator.bit_length(), base.denominator.bit_length()) - 1
+                digits = sys.get_int_max_str_digits()
+                if digits and bits * abs(n) > digits * _BITS_PER_DIGIT:
+                    raise GeometryError(
+                        f"an exact power with exponent {n} would pass the {digits}-digit limit")
+            return base ** n
         return float(base) ** float(exponent)
     except OverflowError as exc:
         raise GeometryError(f"{base} ** {exponent} leaves the float range") from exc

@@ -104,15 +104,6 @@ def circumradius_sq(placement: Placement) -> float:
     return dist_sq(circumcenter_xy(placement), placement.a_xy)
 
 
-def vertex_distances_sq(point: XY, placement: Placement):
-    """Squared distances from the point to vertices A, B, C in that order."""
-    return (
-        dist_sq(point, placement.a_xy),
-        dist_sq(point, placement.b_xy),
-        dist_sq(point, placement.c_xy),
-    )
-
-
 def angle_cos(apex: XY, p: XY, q: XY, *, min_leg_sq: float = 0.0) -> float:
     """Cosine of the angle P-apex-Q from the normalized dot product.
 
@@ -127,17 +118,6 @@ def angle_cos(apex: XY, p: XY, q: XY, *, min_leg_sq: float = 0.0) -> float:
         raise UndefinedAngle("a leg of the angle has (near-)zero length")
     value = (vx * wx + vy * wy) / math.sqrt(leg_p * leg_q)
     return max(-1.0, min(1.0, value))
-
-
-def collinearity_sin(apex: XY, p: XY, q: XY, *, min_leg_sq: float = 0.0) -> float:
-    """Magnitude of the sine of P-apex-Q; zero exactly when the rays align."""
-    vx, vy = p[0] - apex[0], p[1] - apex[1]
-    wx, wy = q[0] - apex[0], q[1] - apex[1]
-    leg_p = vx * vx + vy * vy
-    leg_q = wx * wx + wy * wy
-    if leg_p <= min_leg_sq or leg_q <= min_leg_sq:
-        raise UndefinedAngle("a leg of the angle has (near-)zero length")
-    return abs(vx * wy - vy * wx) / math.sqrt(leg_p * leg_q)
 
 
 def reflect_through(point: XY, center: XY) -> XY:

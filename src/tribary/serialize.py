@@ -8,7 +8,10 @@ rationals serialize as "p/q" strings to keep them lossless in JSON.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+
+from .errors import GeometryError
 
 FLOAT_FORMAT = "%.17g"
 
@@ -17,12 +20,16 @@ def format_number(value) -> str:
     """Render one numeric value; floats get 17 significant digits."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+    try:
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, Fraction):
+            if value.denominator == 1:
+                return str(value.numerator)
+            return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise GeometryError(
+            f"exact value has more than {sys.get_int_max_str_digits()} digits") from exc
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite float {value!r} in output")

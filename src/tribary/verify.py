@@ -81,13 +81,6 @@ from .kernel import (
 )
 from .serialize import dumps
 
-VALID_STRATA = (
-    "uniform",
-    "near_degenerate",
-    "near_equilateral",
-    "isosceles",
-    "integer_sides",
-)
 VALID_SUITES = ("kernel", "classical", "dual", "cevian")
 
 # Squared legs below this fraction of R^2 are excluded from float-vs-oracle
@@ -96,6 +89,80 @@ COMPARISON_GUARD = 1e-5
 
 _DENOM = 10 ** 6
 _SCALE_LAMBDAS = (2.0, -1.0, 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# stratified exact-rational side sampling
+
+
+def _exact_decade(rng: random.Random) -> Fraction:
+    """An exact rational close to 10**u for u uniform on [-8, -3]."""
+    u = rng.uniform(-8.0, -3.0)
+    exponent = math.floor(u)
+    mantissa = 10.0 ** (u - exponent)
+    return Fraction(round(mantissa * _DENOM), _DENOM) * Fraction(10) ** exponent
+
+
+def _perimeter_two(trip) -> TriangleSides:
+    """The triangle with sides proportional to trip and perimeter 2."""
+    total = trip[0] + trip[1] + trip[2]
+    return TriangleSides(*(2 * v / total for v in trip))
+
+
+def _uniform_sides(rng: random.Random) -> TriangleSides:
+    while True:
+        trip = sorted(Fraction(rng.randint(50_000, _DENOM), _DENOM) for _ in range(3))
+        x, y, z = trip
+        if x + y - z > (x + y + z) * Fraction(1, 10 ** 10):
+            return _perimeter_two(trip)
+
+
+def _near_degenerate_sides(rng: random.Random) -> TriangleSides:
+    gap = _exact_decade(rng)
+    w = Fraction(rng.randint(350_000, 650_000), _DENOM)
+    long_side = 1 - gap / 2
+    return TriangleSides((long_side + gap) * w, (long_side + gap) * (1 - w), long_side)
+
+
+def _near_equilateral_sides(rng: random.Random) -> TriangleSides:
+    diff = _exact_decade(rng)
+    w = Fraction(rng.randint(0, _DENOM), _DENOM)
+    return _perimeter_two((Fraction(1), 1 + diff * w, 1 + diff))
+
+
+def _isosceles_sides(rng: random.Random) -> TriangleSides:
+    while True:
+        leg = Fraction(rng.randint(50_000, _DENOM), _DENOM)
+        base = Fraction(rng.randint(50_000, _DENOM), _DENOM)
+        if base < 2 * leg * Fraction(999_999, 1_000_000):
+            break
+    arrangements = ((leg, leg, base), (leg, base, leg), (base, leg, leg))
+    return _perimeter_two(arrangements[rng.randrange(3)])
+
+
+def _integer_sides(rng: random.Random) -> TriangleSides:
+    while True:
+        trip = sorted(rng.randint(1, 60) for _ in range(3))
+        x, y, z = trip
+        if x + y > z:
+            return TriangleSides(Fraction(x), Fraction(y), Fraction(z))
+
+
+_SAMPLERS = {
+    "uniform": _uniform_sides,
+    "near_degenerate": _near_degenerate_sides,
+    "near_equilateral": _near_equilateral_sides,
+    "isosceles": _isosceles_sides,
+    "integer_sides": _integer_sides,
+}
+VALID_STRATA = tuple(_SAMPLERS)
+
+
+def _sample_exact_sides(stratum: str, index: int, rng: random.Random, config: FuzzConfig) -> TriangleSides:
+    if stratum == "corpus":
+        sa, sb, sc = config.corpus[index]
+        return TriangleSides(Fraction(sa), Fraction(sb), Fraction(sc))
+    return _SAMPLERS[stratum](rng)
 
 
 class CorpusFormatError(ValueError):
@@ -182,79 +249,6 @@ def load_corpus(path) -> tuple:
     if not triples:
         raise CorpusFormatError(f"{path}: no data rows")
     return tuple(triples)
-
-
-# ---------------------------------------------------------------------------
-# stratified exact-rational side sampling
-
-
-def _exact_decade(rng: random.Random) -> Fraction:
-    """An exact rational close to 10**u for u uniform on [-8, -3]."""
-    u = rng.uniform(-8.0, -3.0)
-    exponent = math.floor(u)
-    mantissa = 10.0 ** (u - exponent)
-    return Fraction(round(mantissa * _DENOM), _DENOM) * Fraction(10) ** exponent
-
-
-def _uniform_sides(rng: random.Random) -> TriangleSides:
-    while True:
-        trip = sorted(Fraction(rng.randint(50_000, _DENOM), _DENOM) for _ in range(3))
-        x, y, z = trip
-        total = x + y + z
-        if x + y - z > total * Fraction(1, 10 ** 10):
-            return TriangleSides(*(2 * v / total for v in trip))
-
-
-def _near_degenerate_sides(rng: random.Random) -> TriangleSides:
-    gap = _exact_decade(rng)
-    w = Fraction(rng.randint(350_000, 650_000), _DENOM)
-    long_side = 1 - gap / 2
-    return TriangleSides((long_side + gap) * w, (long_side + gap) * (1 - w), long_side)
-
-
-def _near_equilateral_sides(rng: random.Random) -> TriangleSides:
-    diff = _exact_decade(rng)
-    w = Fraction(rng.randint(0, _DENOM), _DENOM)
-    raw = (Fraction(1), 1 + diff * w, 1 + diff)
-    total = raw[0] + raw[1] + raw[2]
-    return TriangleSides(*(2 * v / total for v in raw))
-
-
-def _isosceles_sides(rng: random.Random) -> TriangleSides:
-    while True:
-        leg = Fraction(rng.randint(50_000, _DENOM), _DENOM)
-        base = Fraction(rng.randint(50_000, _DENOM), _DENOM)
-        if base < 2 * leg * Fraction(999_999, 1_000_000):
-            break
-    arrangements = ((leg, leg, base), (leg, base, leg), (base, leg, leg))
-    trip = arrangements[rng.randrange(3)]
-    total = trip[0] + trip[1] + trip[2]
-    return TriangleSides(*(2 * v / total for v in trip))
-
-
-def _integer_sides(rng: random.Random) -> TriangleSides:
-    while True:
-        trip = sorted(rng.randint(1, 60) for _ in range(3))
-        x, y, z = trip
-        if x + y > z:
-            return TriangleSides(Fraction(x), Fraction(y), Fraction(z))
-
-
-def _sample_exact_sides(stratum: str, index: int, rng: random.Random, config: FuzzConfig) -> TriangleSides:
-    if stratum == "corpus":
-        sa, sb, sc = config.corpus[index]
-        return TriangleSides(Fraction(sa), Fraction(sb), Fraction(sc))
-    if stratum == "uniform":
-        return _uniform_sides(rng)
-    if stratum == "near_degenerate":
-        return _near_degenerate_sides(rng)
-    if stratum == "near_equilateral":
-        return _near_equilateral_sides(rng)
-    if stratum == "isosceles":
-        return _isosceles_sides(rng)
-    if stratum == "integer_sides":
-        return _integer_sides(rng)
-    raise ValueError(f"unknown stratum {stratum!r}")
 
 
 def _sample_point(rng: random.Random) -> BaryPoint:

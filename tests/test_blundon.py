@@ -15,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribary import blundon, centers, kernel, oracle
-from tribary.errors import DegenerateVertexAngle, EquilateralDegenerate, UndefinedAngle
+from tribary.errors import (
+    DegenerateTriangle,
+    DegenerateVertexAngle,
+    EquilateralDegenerate,
+    UndefinedAngle,
+)
 from tribary.kernel import BaryPoint, TriangleSides
 
 RIGHT = TriangleSides(3.0, 4.0, 5.0)
@@ -119,6 +124,14 @@ class TestAngleReport:
         assert report.pq_sq == Fraction(1)
         assert report.bounds.middle == Fraction(1, 2)
         assert report.cos_value == pytest.approx(0.4472135954999579)
+
+    @pytest.mark.parametrize("scale", ["1e-200", "1e200"])
+    def test_exact_legs_outside_float_range_raise(self, scale):
+        unit = Fraction(scale)
+        sides = TriangleSides(unit, unit, Fraction(3, 2) * unit)
+        with pytest.raises(DegenerateTriangle):
+            blundon.cos_angle_at_circumcenter(
+                centers.incenter(sides), centers.nagel_point(sides), sides)
 
     def test_bounds_helper_matches_report(self):
         triple = blundon.blundon_bounds(INCENTER, NAGEL, RIGHT)

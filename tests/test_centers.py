@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tribary import centers, kernel, oracle
+from tribary import centers, cli, kernel, oracle
 from tribary.centers import CenterSpec, parse_center_spec, resolve
 from tribary.errors import CenterSpecError, PointAtInfinity
 from tribary.kernel import BaryPoint, TriangleSides
@@ -224,4 +224,10 @@ def test_readme_point_specs_parse():
     paragraph = re.search(r"Points are named centers.*?\n\n", readme, re.S).group(0)
     specs = re.findall(r"`([^`]+)`", paragraph)
     kinds = {parse_center_spec(spec).kind for spec in specs}
-    assert kinds == set(centers._KIND_SHAPES)
+    assert kinds == set(centers._KINDS)
+
+
+def test_center_help_names_every_kind(capsys):
+    assert cli.main(["center", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert all(kind in help_text for kind in centers._KINDS)

@@ -95,6 +95,12 @@ class TestCenter:
         data = json.loads(out)
         assert data["weights"] == ["9", "8", "5"]
 
+    def test_large_exact_cevian_rank_still_prints(self, capsys):
+        code, out, _ = run_cli(capsys, "center", "--sides", "3,4,5", "--exact",
+                               "--spec", "cevian:1e3,0,0", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["weights"] == [str(3**1000), str(4**1000), str(5**1000)]
+
     def test_raw_round_trip_preserves_normalized(self, capsys):
         _, out, _ = run_cli(capsys, "center", "--sides", "3,4,5",
                             "--spec", "nagel", "--format", "json")
@@ -164,6 +170,10 @@ class TestCos:
         ("derive", "--exact", "--sides", "1e400,1e400,1e400"),
         ("cos", "--sides", "3,4,5", "--p", "cevian:700,0,0", "--q", "incenter"),
         ("center", "--sides", "3,4,5", "--spec", "cevian:1e6,0,0"),
+        # exact powers past the int-string digit limit
+        ("center", "--exact", "--sides", "3,4,5", "--spec", "cevian:1e4,0,0"),
+        ("center", "--exact", "--sides", "3,4,5", "--spec", "cevian:1e9,0,0"),
+        ("center", "--exact", "--sides", "3,4,5", "--spec", "cevian:3000,3000,3000"),
     ])
     def test_extreme_side_magnitudes_exit_one(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)

@@ -47,6 +47,8 @@ class TestValidation:
         (1, 1, 2), (1, 2, 8), (-1, 2, 2), (0, 1, 1),
         # abc^2 or 16 area^2 leaves the float range
         (1e200, 1e200, 1e200), (1e60, 1e60, 1.5e60), (1e-200, 1e-200, 1.5e-200),
+        # an exact perimeter past the float range
+        (Fraction(10**400), Fraction(10**400), Fraction(10**400)),
     ])
     def test_degenerate_rejected(self, sides):
         with pytest.raises(DegenerateTriangle):
@@ -98,14 +100,22 @@ class TestDerivedElements:
         placement = oracle.place_triangle(3.0, 4.0, 5.0)
         assert kernel.circumradius_sq(RIGHT) == pytest.approx(oracle.circumradius_sq(placement))
         assert kernel.area_sq(RIGHT) == pytest.approx(36.0)
-        assert kernel.inradius_sq(RIGHT) == pytest.approx(1.0)
-        assert kernel.exradii_sq(RIGHT) == pytest.approx((4.0, 9.0, 36.0))
-        assert kernel.circum_inradius_product(RIGHT) == pytest.approx(2.5)
+        assert kernel.euler_terms(RIGHT) == pytest.approx((6.0, 6.25, 2.5, 1.0))
+        exradii_sq = [kernel.euler_terms(RIGHT, side)[3] for side in RIGHT.as_tuple()]
+        assert exradii_sq == pytest.approx([4.0, 9.0, 36.0])
 
 
 class TestPowerSum:
     def test_counting_case(self):
         assert kernel.power_sum(RIGHT, 0) == 3
+
+    def test_exact_power_past_the_digit_limit_refused(self):
+        assert kernel.pow_keep_exact(Fraction(1), 10**9) == 1
+        assert kernel.pow_keep_exact(Fraction(5), 1000) == 5**1000
+        with pytest.raises(GeometryError):
+            kernel.pow_keep_exact(Fraction(4), 10**9)
+        with pytest.raises(GeometryError):
+            kernel.pow_keep_exact(Fraction(1, 4), -10**4)
 
     def test_first_and_second_moments(self):
         assert kernel.power_sum(RIGHT, 1) == pytest.approx(12.0)
@@ -272,8 +282,8 @@ class TestRationalBackend:
         sides = TriangleSides(Fraction(3), Fraction(4), Fraction(5))
         assert kernel.area_sq(sides) == Fraction(36)
         assert kernel.circumradius_sq(sides) == Fraction(25, 4)
-        assert kernel.inradius_sq(sides) == Fraction(1)
-        assert kernel.circum_inradius_product(sides) == Fraction(5, 2)
+        assert kernel.euler_terms(sides) == (6, Fraction(25, 4), Fraction(5, 2), 1)
+        assert [kernel.euler_terms(sides, side)[3] for side in sides.as_tuple()] == [4, 9, 36]
         p = BaryPoint(Fraction(3), Fraction(4), Fraction(5))
         q = BaryPoint(Fraction(3), Fraction(2), Fraction(1))
         assert kernel.circum_power(p, sides) == Fraction(5)
