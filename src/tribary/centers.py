@@ -5,16 +5,21 @@ weights.  Like the kernel, the generators are duck-typed: rational side
 lengths stay rational as long as the requested exponents are integers.
 :func:`parse_center_spec` turns the CLI's textual descriptors into
 :class:`CenterSpec` records, and :func:`resolve` evaluates those records.
+
+This module is also the one reader of user text: :func:`parse_number` turns
+every number (a side, a spec parameter, a corpus cell) into a float or a
+Fraction, and :func:`parse_sides` turns three such cells into TriangleSides.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import CenterSpecError
+from .errors import CenterSpecError, DegenerateTriangle, GeometryError, InputError
 from .kernel import BaryPoint, TriangleSides, pow_keep_exact, semiperimeter
 
 VERTICES = ("A", "B", "C")
@@ -106,11 +111,14 @@ def cevian_rank(k, l, m, sides: TriangleSides) -> BaryPoint:
     """
     a, b, c = sides.as_tuple()
     s = semiperimeter(sides)
-    return BaryPoint(
-        pow_keep_exact(a, k) * pow_keep_exact(s - a, l) * pow_keep_exact(b + c, m),
-        pow_keep_exact(b, k) * pow_keep_exact(s - b, l) * pow_keep_exact(a + c, m),
-        pow_keep_exact(c, k) * pow_keep_exact(s - c, l) * pow_keep_exact(a + b, m),
-    )
+    try:  # an exact factor times a float one is a float, and may not fit
+        return BaryPoint(
+            pow_keep_exact(a, k) * pow_keep_exact(s - a, l) * pow_keep_exact(b + c, m),
+            pow_keep_exact(b, k) * pow_keep_exact(s - b, l) * pow_keep_exact(a + c, m),
+            pow_keep_exact(c, k) * pow_keep_exact(s - c, l) * pow_keep_exact(a + b, m),
+        )
+    except OverflowError as exc:
+        raise GeometryError("cevian weights leave the float range") from exc
 
 
 def _raw_point(t1, t2, t3, sides: TriangleSides) -> BaryPoint:
@@ -147,9 +155,9 @@ def cevian_triangle(p: BaryPoint) -> tuple[BaryPoint, BaryPoint, BaryPoint]:
 
 def parse_center_spec(text: str, exact: bool = False) -> CenterSpec:
     """Parse descriptors like ``incenter``, ``excenter:B``, ``cevian:1,0,2``,
-    or ``raw:0.3,-1,2``.  Case-insensitive; numbers may be decimals, and in
-    exact mode they are read as rationals (``1.5`` and ``3/2`` both work).
-    Only the syntax is checked here; CenterSpec checks the kind's shape.
+    or ``raw:0.3,-1,2``.  Case-insensitive; numbers are read by
+    :func:`parse_number`.  Only the syntax is checked here; CenterSpec checks
+    the kind's shape.
     """
     head, _, tail = text.strip().partition(":")
     kind = head.strip().lower()
@@ -158,18 +166,64 @@ def parse_center_spec(text: str, exact: bool = False) -> CenterSpec:
     tail = tail.strip()
     if _KINDS[kind][1]:
         return CenterSpec(kind, vertex=tail.upper())
-    pieces = tail.split(",") if tail else []
-    return CenterSpec(kind, params=tuple(_parse_number(piece.strip(), exact) for piece in pieces))
+    try:
+        params = tuple(parse_number(piece, exact) for piece in tail.split(",")) if tail else ()
+    except InputError as exc:
+        raise CenterSpecError(str(exc)) from exc
+    return CenterSpec(kind, params=params)
 
 
-def _parse_number(text: str, exact: bool):
+def parse_number(text: str, exact: bool = False):
+    """The one reader of a number the user typed: a finite float, or in
+    exact mode a Fraction (``1.5``, ``3/2`` and ``15e-1`` all work).
+
+    Malformed or non-finite text raises InputError.  Exact text whose decimal
+    exponent passes the interpreter's int-string digit limit raises
+    GeometryError before ``Fraction`` expands ``10 ** exponent``, the digit
+    rule :func:`~tribary.kernel.pow_keep_exact` applies to powers.
+    """
+    text = text.strip()
+    if exact:
+        _refuse_huge_exponent(text)
     try:
         value = Fraction(text) if exact else float(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CenterSpecError(f"bad number {text!r}") from exc
-    if isinstance(value, float) and not math.isfinite(value):
-        raise CenterSpecError(f"non-finite number {text!r}")
+        raise InputError(f"bad number {text!r}") from exc
+    if not exact and not math.isfinite(value):
+        raise InputError(f"non-finite number {text!r}")
     return value
+
+
+def _refuse_huge_exponent(text: str) -> None:
+    """GeometryError for exact decimal text whose exponent passes the digit limit."""
+    head, marker, tail = text.lower().rpartition("e")
+    limit = sys.get_int_max_str_digits()
+    if not (marker and limit):
+        return
+    try:
+        if abs(int(tail)) <= limit:
+            return
+        Fraction(head + "e0")  # malformed text is left for Fraction(text) to report
+    except ValueError:
+        return
+    raise GeometryError(f"exact number {text!r} has an exponent past the {limit}-digit limit")
+
+
+def parse_sides(cells, exact: bool = False) -> TriangleSides:
+    """TriangleSides from three number texts.  Exact sides must also make a
+    valid float triangle, since every exact command still reports floats."""
+    values = [parse_number(cell, exact) for cell in cells]
+    if exact:
+        float_sides(values)
+    return TriangleSides(*values)
+
+
+def float_sides(values) -> TriangleSides:
+    """Float image of side values, validated like float input."""
+    try:
+        return TriangleSides(*(float(v) for v in values))
+    except OverflowError as exc:
+        raise DegenerateTriangle("side values exceed the float range") from exc
 
 
 def resolve(spec: CenterSpec, sides: TriangleSides) -> BaryPoint:

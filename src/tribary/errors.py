@@ -1,9 +1,10 @@
 """Exception hierarchy shared by every module in the package.
 
 All geometric failure modes derive from :class:`GeometryError` so callers can
-catch one type at API boundaries.  :class:`CenterSpecError` is deliberately
-outside that hierarchy: a malformed point descriptor is a usage mistake, not a
-property of the triangle, and the CLI maps it to a different exit code.
+catch one type at API boundaries.  :class:`InputError` and its subclass
+:class:`CenterSpecError` are deliberately outside that hierarchy: malformed
+text is a usage mistake, not a property of the triangle, and the CLI maps it
+to a different exit code.
 """
 
 from __future__ import annotations
@@ -37,5 +38,10 @@ class DegenerateVertexAngle(GeometryError):
     """A three-point angle is requested at a vertex coinciding with a ray end."""
 
 
-class CenterSpecError(ValueError):
+class InputError(ValueError):
+    """User text or an option value could not be interpreted (a bad number,
+    side triple, point descriptor, corpus file or setting)."""
+
+
+class CenterSpecError(InputError):
     """A point descriptor string or structure could not be interpreted."""

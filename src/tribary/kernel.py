@@ -30,6 +30,15 @@ EPS_EQUILATERAL = 1e-12
 _BITS_PER_DIGIT = math.log2(10)
 
 
+def _message(pattern: str, *values) -> str:
+    """pattern.format(*values), for an error message.  An exact value past the
+    interpreter's int-string digit limit cannot be printed and shows as '...'."""
+    try:
+        return pattern.format(*values)
+    except ValueError:
+        return pattern.replace("!r", "").format(*["..."] * len(values))
+
+
 @dataclass(frozen=True)
 class TriangleSides:
     """Side lengths a = BC, b = CA, c = AB of a strict triangle."""
@@ -41,7 +50,7 @@ class TriangleSides:
     def __post_init__(self):
         a, b, c = self.a, self.b, self.c
         if min(a, b, c) <= 0:
-            raise DegenerateTriangle(f"non-positive side in ({a}, {b}, {c})")
+            raise DegenerateTriangle(_message("non-positive side in ({}, {}, {})", a, b, c))
         perimeter = a + b + c
         gap = min(a + b - c, b + c - a, c + a - b)
         try:
@@ -49,7 +58,8 @@ class TriangleSides:
         except OverflowError as exc:  # an exact perimeter past the float range
             raise DegenerateTriangle("sides exceed the float range") from exc
         if thin:
-            raise DegenerateTriangle(f"triangle inequality fails for ({a}, {b}, {c})")
+            raise DegenerateTriangle(
+                _message("triangle inequality fails for ({}, {}, {})", a, b, c))
         if isinstance(perimeter, float):
             abc = a * b * c
             if not (0 < abc * abc < math.inf and 0 < 16 * area_sq(self) < math.inf):
@@ -71,9 +81,11 @@ class BaryPoint:
     def __post_init__(self):
         total = self.t1 + self.t2 + self.t3
         if total == 0:
-            raise PointAtInfinity(f"weights {self.as_tuple()!r} sum to zero")
+            raise PointAtInfinity(
+                _message("weights ({!r}, {!r}, {!r}) sum to zero", *self.as_tuple()))
         if not abs(total) < math.inf:
-            raise GeometryError(f"weights {self.as_tuple()!r} overflow: their sum is not finite")
+            raise GeometryError(_message(
+                "weights ({!r}, {!r}, {!r}) overflow: their sum is not finite", *self.as_tuple()))
 
     def as_tuple(self):
         return (self.t1, self.t2, self.t3)
@@ -148,11 +160,12 @@ def pow_keep_exact(base, exponent):
                 digits = sys.get_int_max_str_digits()
                 if digits and bits * abs(n) > digits * _BITS_PER_DIGIT:
                     raise GeometryError(
-                        f"an exact power with exponent {n} would pass the {digits}-digit limit")
+                        _message(f"an exact power with exponent {{}} would pass the "
+                                 f"{digits}-digit limit", n))
             return base ** n
         return float(base) ** float(exponent)
     except OverflowError as exc:
-        raise GeometryError(f"{base} ** {exponent} leaves the float range") from exc
+        raise GeometryError(_message("{} ** {} leaves the float range", base, exponent)) from exc
 
 
 def power_sum(sides: TriangleSides, exponent):
@@ -223,6 +236,7 @@ def bergstrom_bound(t: BaryPoint, sides: TriangleSides):
     """
     n1, n2, n3 = t.normalized()
     if n1 <= 0 or n2 <= 0 or n3 <= 0:
-        raise NonPositiveWeights(f"weights {t.as_tuple()!r} are not all interior")
+        raise NonPositiveWeights(
+            _message("weights ({!r}, {!r}, {!r}) are not all interior", *t.as_tuple()))
     s = semiperimeter(sides)
     return 4 * s * s * n1 * n2 * n3

@@ -62,11 +62,14 @@ from .centers import (
     cevian_rank,
     cevian_triangle,
     excenter,
+    float_sides,
     incenter,
     lemoine_point,
     nagel_point,
+    parse_number,
+    parse_sides,
 )
-from .errors import DegenerateVertexAngle, UndefinedAngle
+from .errors import DegenerateVertexAngle, InputError, UndefinedAngle
 from .kernel import (
     BaryPoint,
     TriangleSides,
@@ -160,12 +163,11 @@ VALID_STRATA = tuple(_SAMPLERS)
 
 def _sample_exact_sides(stratum: str, index: int, rng: random.Random, config: FuzzConfig) -> TriangleSides:
     if stratum == "corpus":
-        sa, sb, sc = config.corpus[index]
-        return TriangleSides(Fraction(sa), Fraction(sb), Fraction(sc))
+        return parse_sides(config.corpus[index], exact=True)
     return _SAMPLERS[stratum](rng)
 
 
-class CorpusFormatError(ValueError):
+class CorpusFormatError(InputError):
     """Raised when a corpus CSV does not match the required a,b,c layout."""
 
 
@@ -222,12 +224,16 @@ def load_corpus(path) -> tuple:
     """Read a,b,c side triples from a CSV file with a mandatory header.
 
     Returns the raw cell strings so exact mode can interpret them without a
-    float round trip.  Layout problems raise CorpusFormatError; geometric
-    problems (non-positive or degenerate sides) surface later when the
-    triple is turned into TriangleSides.
+    float round trip.  Layout problems and cells that do not read as finite
+    numbers raise CorpusFormatError; geometric problems (non-positive or
+    degenerate sides, an exponent past the digit limit) surface later when
+    the triple is read exactly into TriangleSides.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise CorpusFormatError(f"{path}: cannot read: {exc}") from exc
     if not rows:
         raise CorpusFormatError(f"{path}: empty corpus")
     header = [cell.strip().lower() for cell in rows[0]]
@@ -240,11 +246,9 @@ def load_corpus(path) -> tuple:
         cells = tuple(cell.strip() for cell in row)
         for cell in cells:
             try:
-                value = float(cell)
-            except ValueError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: not a number: {cell!r}") from exc
-            if not math.isfinite(value):
-                raise CorpusFormatError(f"{path}:{lineno}: non-finite side {cell!r}")
+                parse_number(cell)
+            except InputError as exc:
+                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
         triples.append(cells)
     if not triples:
         raise CorpusFormatError(f"{path}: no data rows")
@@ -278,7 +282,7 @@ class _Sample:
         self.stratum = stratum
         rng = random.Random(f"{config.seed}:{stratum}:{index}")
         self.exact_sides = _sample_exact_sides(stratum, index, rng, config)
-        self.sides = TriangleSides(*(float(v) for v in self.exact_sides.as_tuple()))
+        self.sides = float_sides(self.exact_sides.as_tuple())
         self.elements = derive_elements(self.sides)
         self.r_sq = circumradius_sq(self.sides)
         self.min_leg = COMPARISON_GUARD * self.r_sq

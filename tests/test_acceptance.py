@@ -7,11 +7,13 @@ failure means the library broke a guarantee, not that a constant drifted.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -400,8 +402,12 @@ def test_criterion_08_homogeneous_scale_invariance():
 def test_criterion_09_verify_reports_byte_identical():
     command = [sys.executable, "-m", "tribary.cli", "verify",
                "--count", "10000", "--seed", "7", "--format", "json"]
-    first = subprocess.run(command, capture_output=True, check=False)
-    second = subprocess.run(command, capture_output=True, check=False)
+    # the child finds tribary in src even when it is not installed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    first = subprocess.run(command, capture_output=True, check=False, env=env)
+    second = subprocess.run(command, capture_output=True, check=False, env=env)
     assert first.returncode == 0, first.stderr.decode()
     assert second.returncode == 0, second.stderr.decode()
     assert first.stdout == second.stdout

@@ -14,7 +14,13 @@ import pytest
 
 from tribary import centers, cli, kernel, oracle
 from tribary.centers import CenterSpec, parse_center_spec, resolve
-from tribary.errors import CenterSpecError, PointAtInfinity
+from tribary.errors import (
+    CenterSpecError,
+    DegenerateTriangle,
+    GeometryError,
+    InputError,
+    PointAtInfinity,
+)
 from tribary.kernel import BaryPoint, TriangleSides
 
 RIGHT = TriangleSides(3.0, 4.0, 5.0)
@@ -215,6 +221,36 @@ class TestResolve:
         sides = TriangleSides(Fraction(3), Fraction(4), Fraction(5))
         point = resolve(parse_center_spec("cevian:2,0,0", exact=True), sides)
         assert point.as_tuple() == (Fraction(9), Fraction(16), Fraction(25))
+
+
+class TestReader:
+    def test_numbers_in_both_modes(self):
+        assert centers.parse_number(" 1.5 ") == 1.5
+        assert centers.parse_number("15e-1", exact=True) == Fraction(3, 2)
+        assert centers.parse_number("3/2", exact=True) == Fraction(3, 2)
+        assert centers.parse_number("1e4300", exact=True) == 10**4300
+
+    @pytest.mark.parametrize("text, exact", [
+        ("x", False), ("1/3", False), ("inf", False), ("nan", False), ("", False),
+        ("nan", True), ("1/0", True), ("abce99999", True), ("1/3e99999", True),
+        ("1e" + "9" * 5000, True),
+    ])
+    def test_malformed_raises_input_error(self, text, exact):
+        with pytest.raises(InputError):
+            centers.parse_number(text, exact)
+
+    @pytest.mark.parametrize("text", ["1e4301", "1e-10000000", "0e99999", " -2.5E+99999 "])
+    def test_exact_exponent_past_the_digit_limit_refused(self, text):
+        with pytest.raises(GeometryError, match="exponent past the"):
+            centers.parse_number(text, exact=True)
+
+    def test_exact_sides_checked_as_floats_first(self):
+        assert centers.parse_sides(["3", "4", "5"], exact=True) == TriangleSides(
+            Fraction(3), Fraction(4), Fraction(5))
+        with pytest.raises(DegenerateTriangle, match=r"\(1\.0, 1\.0, 2\.0\)"):
+            centers.parse_sides(["1", "1", "2"], exact=True)
+        with pytest.raises(DegenerateTriangle, match="float range"):
+            centers.parse_sides(["1e400", "1e400", "1e400"], exact=True)
 
 
 def test_readme_point_specs_parse():

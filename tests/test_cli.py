@@ -1,8 +1,13 @@
 """End-to-end tests of the command line interface."""
 
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tribary.cli import main
 
@@ -174,6 +179,11 @@ class TestCos:
         ("center", "--exact", "--sides", "3,4,5", "--spec", "cevian:1e4,0,0"),
         ("center", "--exact", "--sides", "3,4,5", "--spec", "cevian:1e9,0,0"),
         ("center", "--exact", "--sides", "3,4,5", "--spec", "cevian:3000,3000,3000"),
+        # an exact weight times a float one past the float range
+        ("center", "--exact", "--sides", "3,4,5", "--spec", "cevian:2,1e3,0.5"),
+        ("cos", "--exact", "--sides", "3,4,5", "--p", "cevian:0,1e3,0.5", "--q", "incenter"),
+        # a rank too long to print in the error message
+        ("bounds", "--exact", "--sides", "3,4,5", "--p", "incenter", "--q", "cevian:0,0,1e4300"),
     ])
     def test_extreme_side_magnitudes_exit_one(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
@@ -193,6 +203,39 @@ class TestCos:
         _, out, _ = run_cli(capsys, "cos", "--sides", "3,4,5",
                             "--p", "raw:1,0,0", "--q", "raw:0,1,0", "--format", "json")
         assert json.loads(out)["pq_sq"] == pytest.approx(25.0, rel=1e-12)
+
+
+class TestExactExponent:
+    """Exact numbers with an exponent past the int-string digit limit are
+    refused before Fraction expands them, so they fail fast."""
+
+    @pytest.mark.parametrize("argv", [
+        ("center", "--exact", "--sides", "3,4,5", "--spec", "raw:1e10000000,1,1"),
+        ("derive", "--exact", "--sides", "1e10000000,1,1"),
+        ("cos", "--exact", "--sides", "3,4,5", "--p", "raw:1e-300000,1,1", "--q", "incenter"),
+        ("bounds", "--exact", "--sides", "3,4,0e99999", "--p", "incenter", "--q", "nagel"),
+    ])
+    def test_refused_fast_with_exit_one(self, capsys, argv):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (1, "")
+        assert "exponent past the" in err
+
+    def test_corpus_cell_refused_fast(self, capsys, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_text("a,b,c\n1e-10000000,1,1\n", encoding="utf-8")
+        started = time.perf_counter()
+        code, _, err = run_cli(capsys, "verify", "--count", "2", "--corpus", str(path))
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        assert "exponent past the" in err
+
+    def test_float_mode_reads_the_same_text(self, capsys):
+        code, out, _ = run_cli(capsys, "center", "--sides", "3,4,5",
+                               "--spec", "raw:1e-300000,1,1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["weights"] == [0.0, 1.0, 1.0]
 
 
 class TestBounds:
@@ -299,10 +342,23 @@ class TestVerify:
 
     def test_degenerate_corpus_row_exit_one(self, capsys, tmp_path):
         path = tmp_path / "corpus.csv"
-        path.write_text("a,b,c\n1,1,2\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "verify", "--count", "10", "--corpus", str(path))
-        assert code == 1
-        assert "error:" in err
+        for row in ("1,1,2", "1e-5000,1,1", "1e-4000,1,1"):
+            path.write_text(f"a,b,c\n{row}\n", encoding="utf-8")
+            code, _, err = run_cli(capsys, "verify", "--count", "10", "--corpus", str(path))
+            assert code == 1, row
+            assert err.startswith("error:")
+
+    def test_unreadable_corpus_exit_two(self, capsys, tmp_path):
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"\xff\xfe")
+        for path in (tmp_path / "missing.csv", tmp_path, binary):
+            code, _, err = run_cli(capsys, "verify", "--count", "10", "--corpus", str(path))
+            assert code == 2
+            assert "cannot read" in err
+
+    def test_non_finite_tolerance_scale_exit_two(self, capsys):
+        for value in ("inf", "nan", "x"):
+            assert run_cli(capsys, "verify", "--count", "5", "--tolerance-scale", value)[0] == 2
 
     def test_bad_count_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--count", "-5")
@@ -325,3 +381,48 @@ class TestUsage:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "derive" in out
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["3", "4", "5", "1/3", "0", "-1", "nan", "inf", "-inf", "1e308", "1e-320",
+                     "1e400", "1e-5000", "1e4300", "1e10000000", "0e99999", "", "x", " 2 "]),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+    st.fractions(max_denominator=10**6).map(str),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-20000, 20000)),
+)
+_SIDES = st.one_of(
+    st.sampled_from(["3,4,5", "5,5,6", "1,1,1", "2.5,3,4", "1,1,2", "3,4", "1/3,1/2,2/3"]),
+    st.lists(_NUMBERS, min_size=3, max_size=3).map(",".join),
+)
+_POINTS = st.one_of(
+    st.sampled_from(["incenter", "centroid", "nagel", "lemoine", " Nagel ", "orthocenter", ""]),
+    st.builds("{}:{}".format, st.sampled_from(["excenter", "adjnagel", "incenter"]),
+              st.sampled_from(["A", "B", "c", "D", ""])),
+    st.builds("raw:{}".format, st.lists(_NUMBERS, min_size=2, max_size=4).map(",".join)),
+    st.builds("cevian:{}".format, st.lists(
+        st.one_of(st.sampled_from(["0", "1", "2", "-3", "0.5", "1e3", "700", "1e4"]), _NUMBERS),
+        min_size=3, max_size=3).map(",".join)),
+)
+_FLAGS = {"derive": (), "center": ("spec",), "cos": ("p", "q"), "bounds": ("p", "q"),
+          "triple": ("p1", "p2", "p3")}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command, f"--sides={draw(_SIDES)}",
+            "--format", draw(st.sampled_from(["human", "json", "csv"]))]
+    if draw(st.booleans()):
+        argv.append("--exact")
+    return argv + [f"--{flag}={draw(_POINTS)}" for flag in _FLAGS[command]]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_argvs())
+def test_any_geometry_input_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert code == 0 or out.getvalue() or "error:" in err.getvalue()

@@ -54,6 +54,15 @@ class TestValidation:
         with pytest.raises(DegenerateTriangle):
             TriangleSides(*sides)
 
+    def test_messages_survive_the_int_string_digit_limit(self):
+        tiny = Fraction(1, 10**5000)
+        with pytest.raises(DegenerateTriangle, match="triangle inequality fails"):
+            TriangleSides(tiny, 1, 1)
+        with pytest.raises(DegenerateTriangle, match="non-positive side"):
+            TriangleSides(-tiny, 1, 1)
+        with pytest.raises(PointAtInfinity, match="sum to zero"):
+            BaryPoint(tiny, -tiny, Fraction(0))
+
     def test_zero_sum_point_rejected(self):
         with pytest.raises(PointAtInfinity):
             BaryPoint(1.0, -1.0, 0.0)
@@ -116,6 +125,8 @@ class TestPowerSum:
             kernel.pow_keep_exact(Fraction(4), 10**9)
         with pytest.raises(GeometryError):
             kernel.pow_keep_exact(Fraction(1, 4), -10**4)
+        with pytest.raises(GeometryError, match="exponent ... would pass"):
+            kernel.pow_keep_exact(Fraction(2), Fraction(10**4300))
 
     def test_first_and_second_moments(self):
         assert kernel.power_sum(RIGHT, 1) == pytest.approx(12.0)
