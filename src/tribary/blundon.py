@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import kernel
@@ -83,12 +84,132 @@ def _legs(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
     return r_sq, op_sq, oq_sq, kernel.dist_sq_between(p, q, sides)
 
 
+class _ScaledSides(NamedTuple):
+    """Integer sides, read by kernel._quadratic_form as it reads TriangleSides."""
+
+    a: int
+    b: int
+    c: int
+
+
+class _Cleared(NamedTuple):
+    """Theorem 3.1 over the integers, for Fraction sides and weights.
+
+    Every squared length is homogeneous in the sides and in each point's
+    weights, so the sides are scaled by the lcm lam of their denominators and
+    each point's weights to coprime integers.  With H = 16 area^2 of the scaled
+    sides, sigma the scaled weight sums and F the kernel's quadratic form (the
+    displacement form of Schindler and Chen, with the denominators cleared):
+
+        OP^2 = N_P / (H lam^2 sigma_P^2),   N_P = (abc)^2 sigma_P^2 - H F(P),
+        PQ^2 = -F_D / (lam^2 sigma_P^2 sigma_Q^2),   F_D = F(sigma_Q P - sigma_P Q),
+        OP^2 + OQ^2 - PQ^2 = M / (H lam^2 sigma_P^2 sigma_Q^2),
+        M = N_P sigma_Q^2 + N_Q sigma_P^2 + H F_D.
+
+    Every field is a Python int; only the reported values become Fractions.
+    """
+
+    abc_sq: int  # (abc)^2 of the scaled sides
+    leg_den: int  # H lam^2
+    lam_sq: int
+    sp_sq: int
+    sq_sq: int
+    n_p: int
+    n_q: int
+    f_d: int
+    m: int
+
+    def middle(self) -> Fraction:
+        """OP^2 + OQ^2 - PQ^2, the middle member of the bound triple."""
+        return Fraction(self.m, self.leg_den * self.sp_sq * self.sq_sq)
+
+    def radicand(self) -> Fraction:
+        """4 OP^2 OQ^2."""
+        return Fraction(4 * self.n_p * self.n_q, self.leg_den ** 2 * self.sp_sq * self.sq_sq)
+
+    def report(self) -> AngleReport:
+        """cos_angle_at_circumcenter's report, with its guards in the same
+        order; Theorem 3.2's equality case is decided exactly."""
+        abc_sq, leg_den, lam_sq, sp_sq, sq_sq, n_p, n_q, f_d, m = self
+        op_sq = Fraction(n_p, leg_den * sp_sq)
+        oq_sq = Fraction(n_q, leg_den * sq_sq)
+        pq_sq = Fraction(-f_d, lam_sq * sp_sq * sq_sq)
+        middle = self.middle()
+        product, product_den = n_p * n_q, leg_den * leg_den * sp_sq * sq_sq
+        try:  # int / int is correctly rounded, as float(Fraction) is
+            upper = 2.0 * math.sqrt(max(product / product_den, 0.0))
+        except OverflowError as exc:
+            raise DegenerateTriangle("OP^2 OQ^2 exceeds the float range") from exc
+        bounds = BoundTriple(-upper, middle, upper)
+        r_sq = abc_sq / leg_den  # float(R^2)
+        threshold = ((EPS_ANGLE * EPS_ANGLE) * r_sq) * r_sq
+        if threshold == math.inf or _at_most(product, product_den, threshold):
+            return AngleReport(None, op_sq, oq_sq, pq_sq, bounds, CLASS_UNDEFINED)
+        if upper == 0.0:
+            raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")
+        cos_value = _clamp(float(middle) / upper)
+        # middle^2 == 4 OP^2 OQ^2, both sides times (H lam^2 sigma_P^2 sigma_Q^2)^2
+        if m * m != 4 * product * sp_sq * sq_sq:
+            classification = CLASS_GENERIC
+        elif m > 0:
+            classification = CLASS_COLLINEAR_SAME_SIDE
+        else:
+            classification = CLASS_COLLINEAR_OPPOSITE_SIDE
+        return AngleReport(cos_value, op_sq, oq_sq, pq_sq, bounds, classification)
+
+
+def _cleared_ints(x: Fraction, y: Fraction, z: Fraction):
+    """(X, Y, Z), lcm: three Fractions scaled by the lcm of their denominators."""
+    dx, dy, dz = x.denominator, y.denominator, z.denominator
+    lcm = math.lcm(dx, dy, dz)
+    return (x.numerator * (lcm // dx), y.numerator * (lcm // dy), z.numerator * (lcm // dz)), lcm
+
+
+def _primitive(point: BaryPoint):
+    """The coprime integer weights proportional to a point's Fraction weights."""
+    (x, y, z), _ = _cleared_ints(point.t1, point.t2, point.t3)
+    g = math.gcd(x, y, z)
+    return x // g, y // g, z // g
+
+
+def _clear(p: BaryPoint, q: BaryPoint, sides: TriangleSides) -> Optional[_Cleared]:
+    """The integers of _Cleared, or None unless the sides and all six weights
+    are Fractions: int sides and int or float weights compute in floats."""
+    if not (Fraction is type(sides.a) is type(sides.b) is type(sides.c) is type(p.t1)
+            is type(p.t2) is type(p.t3) is type(q.t1) is type(q.t2) is type(q.t3)):
+        return None
+    (big_a, big_b, big_c), lam = _cleared_ints(sides.a, sides.b, sides.c)
+    scaled = _ScaledSides(big_a, big_b, big_c)
+    p1, p2, p3 = _primitive(p)
+    q1, q2, q3 = _primitive(q)
+    a_sq, b_sq, c_sq = big_a * big_a, big_b * big_b, big_c * big_c
+    h = 2 * (a_sq * b_sq + b_sq * c_sq + c_sq * a_sq) - a_sq * a_sq - b_sq * b_sq - c_sq * c_sq
+    abc_sq = a_sq * b_sq * c_sq
+    sp, sq = p1 + p2 + p3, q1 + q2 + q3
+    sp_sq, sq_sq = sp * sp, sq * sq
+    n_p = abc_sq * sp_sq - h * kernel._quadratic_form((p1, p2, p3), scaled)
+    n_q = abc_sq * sq_sq - h * kernel._quadratic_form((q1, q2, q3), scaled)
+    f_d = kernel._quadratic_form((sq * p1 - sp * q1, sq * p2 - sp * q2, sq * p3 - sp * q3), scaled)
+    m = n_p * sq_sq + n_q * sp_sq + h * f_d
+    return _Cleared(abc_sq, h * lam * lam, lam * lam, sp_sq, sq_sq, n_p, n_q, f_d, m)
+
+
+def _at_most(numerator: int, denominator: int, bound: float) -> bool:
+    """numerator / denominator <= bound, exactly, for a finite bound and a
+    positive denominator."""
+    bound_num, bound_den = bound.as_integer_ratio()
+    return numerator * bound_den <= bound_num * denominator
+
+
 def general_cos_parts(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
     """Numerator and squared denominator of cos POQ, as rational expressions.
 
     Returns (numerator, radicand) with cos = numerator / sqrt(radicand); both
     stay exact for rational input.
     """
+    cleared = _clear(p, q, sides)
+    if cleared is not None:
+        return cleared.middle(), cleared.radicand()
     _, op_sq, oq_sq, pq_sq = _legs(p, q, sides)
     return op_sq + oq_sq - pq_sq, 4 * op_sq * oq_sq
 
@@ -98,7 +219,13 @@ def cos_angle_at_circumcenter(p: BaryPoint, q: BaryPoint, sides: TriangleSides) 
 
     A numerically vanishing leg is reported as classification "undefined"
     rather than raised, since degenerate requests are ordinary data here.
+    Fraction sides and weights take the integer route of _Cleared, which
+    decides the collinear classifications exactly; other input classifies
+    with the EPS_COLLINEAR threshold.
     """
+    cleared = _clear(p, q, sides)
+    if cleared is not None:
+        return cleared.report()
     r_sq, op_sq, oq_sq, pq_sq = _legs(p, q, sides)
     middle = op_sq + oq_sq - pq_sq
     product = op_sq * oq_sq

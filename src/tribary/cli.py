@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import oracle
 from .blundon import CLASS_UNDEFINED, cos_angle_at_circumcenter, triple_cevian_cos
@@ -178,13 +179,18 @@ def _center(args, sides, specs, points):
     return data, lines, 0
 
 
-def _oracle_residual(args, points, sides, cos_value):
-    """cos_value minus the Cartesian oracle's cosine, in floats; None if undefined."""
+def _oracle_residual(args, specs, points, sides, cos_value):
+    """cos_value minus the Cartesian oracle's cosine, in floats; None if
+    undefined, or in exact mode if a point has no float image."""
     if cos_value is None:
         return None
     if args.exact:
         sides = float_sides(sides.as_tuple())
-        points = [resolve(parse_center_spec(text), sides) for text in (args.p, args.q)]
+        try:
+            points = [resolve(replace(spec, params=tuple(float(v) for v in spec.params)), sides)
+                      for spec in specs]
+        except (OverflowError, GeometryError):
+            return None
     placement = oracle.place_triangle(*sides.as_tuple())
     center = oracle.circumcenter_xy(placement)
     try:
@@ -199,7 +205,7 @@ def _oracle_residual(args, points, sides, cos_value):
 
 def _cos(args, sides, specs, points):
     report = cos_angle_at_circumcenter(*points, sides)
-    residual = _oracle_residual(args, points, sides, report.cos_value)
+    residual = _oracle_residual(args, specs, points, sides, report.cos_value)
     bounds = report.bounds
     data = {
         "cos": report.cos_value,

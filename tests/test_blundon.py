@@ -139,6 +139,110 @@ class TestAngleReport:
         assert triple == report.bounds
 
 
+def _exact_triangle(rng: random.Random, kind: str) -> TriangleSides:
+    """Rational sides: uniform, near-equilateral, integer, or scaled by 10**+-150."""
+    if kind == "near_equilateral":
+        d = Fraction(rng.randint(1, 9), 10 ** rng.randint(3, 14))
+        return TriangleSides(Fraction(1), 1 + d * rng.randint(0, 3), 1 + d)
+    if kind == "integer":
+        while True:
+            x, y, z = sorted(Fraction(rng.randint(1, 60)) for _ in range(3))
+            if x + y > z:
+                return TriangleSides(x, y, z)
+    while True:
+        x, y, z = sorted(Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(3))
+        if x + y > z * Fraction(1001, 1000):
+            unit = Fraction(10) ** rng.randint(-150, 150) if kind == "scaled" else 1
+            return TriangleSides(x * unit, y * unit, z * unit)
+
+
+def _exact_point(rng: random.Random, sides: TriangleSides) -> BaryPoint:
+    """A Fraction point of one of the kinds that stress the integer route."""
+    kind = rng.randrange(6)
+    if kind == 0:  # within about 1e-15 .. 1e-40 of O
+        o1, o2, o3 = centers.circumcenter_point(sides).normalized()
+        d = Fraction(rng.randint(1, 9), 10 ** rng.choice((15, 16, 20, 40)))
+        return BaryPoint(o1 + d, o2 - 2 * d, o3 + d)
+    if kind == 1:
+        return centers.circumcenter_point(sides)
+    if kind == 2:
+        return centers.excenter(rng.choice("ABC"), sides)
+    if kind == 3:
+        return centers.cevian_rank(*(rng.randint(-3, 3) for _ in range(3)), sides)
+    while True:  # raw weights, a third of them with a zero weight
+        w = [Fraction(rng.randint(-2000, 2000), rng.choice((1, 7, 1000, 10**9))) for _ in range(3)]
+        if kind == 4:
+            w[rng.randrange(3)] = Fraction(0)
+        if sum(w) != 0:
+            return BaryPoint(*w)
+
+
+def _through_o(sides: TriangleSides, p: BaryPoint, weight: Fraction) -> BaryPoint:
+    """The point O + weight (P - O), exactly."""
+    o = centers.circumcenter_point(sides).normalized()
+    return BaryPoint(*(oi + weight * (ni - oi) for oi, ni in zip(o, p.normalized())))
+
+
+class TestIntegerRoute:
+    """Fraction sides and weights take blundon's cleared-denominator route."""
+
+    def test_legs_and_parts_match_the_kernel(self):
+        rng = random.Random(20261018)
+        kinds = ("uniform", "near_equilateral", "integer", "scaled")
+        for i in range(400):
+            sides = _exact_triangle(rng, kinds[i % len(kinds)])
+            p, q = _exact_point(rng, sides), _exact_point(rng, sides)
+            r_sq = kernel.circumradius_sq(sides)
+            op_sq = r_sq - kernel.circum_power(p, sides)
+            oq_sq = r_sq - kernel.circum_power(q, sides)
+            pq_sq = kernel.dist_sq_between(p, q, sides)
+            parts = blundon.general_cos_parts(p, q, sides)
+            assert parts == (op_sq + oq_sq - pq_sq, 4 * op_sq * oq_sq)
+            assert all(type(v) is Fraction for v in parts)
+            try:
+                report = blundon.cos_angle_at_circumcenter(p, q, sides)
+            except DegenerateTriangle:  # legs past the float range at sides 1e+-150
+                continue
+            assert (report.op_sq, report.oq_sq, report.pq_sq) == (op_sq, oq_sq, pq_sq)
+            assert report.bounds.middle == parts[0]
+
+    def test_mirror_and_halfway_points_are_exactly_collinear(self):
+        rng = random.Random(7)
+        for i in range(60):
+            sides = _exact_triangle(rng, ("uniform", "integer", "near_equilateral")[i % 3])
+            p = _exact_point(rng, sides)
+            if blundon.cos_angle_at_circumcenter(p, p, sides).cos_value is None:
+                continue  # P at O
+            mirror = blundon.cos_angle_at_circumcenter(p, _through_o(sides, p, Fraction(-1)), sides)
+            half = blundon.cos_angle_at_circumcenter(p, _through_o(sides, p, Fraction(1, 2)), sides)
+            assert mirror.classification == blundon.CLASS_COLLINEAR_OPPOSITE_SIDE
+            assert half.classification == blundon.CLASS_COLLINEAR_SAME_SIDE
+
+    def test_near_collinear_is_generic_only_when_exact(self):
+        third = Fraction(1, 100000)
+        exact = blundon.cos_angle_at_circumcenter(
+            BaryPoint(Fraction(1), Fraction(0), Fraction(0)),
+            BaryPoint(Fraction(3), Fraction(1), third), EXACT_RIGHT)
+        assert exact.classification == blundon.CLASS_GENERIC
+        assert exact.cos_value > 1.0 - blundon.EPS_COLLINEAR  # the float rule would say collinear
+        floats = blundon.cos_angle_at_circumcenter(
+            BaryPoint(1.0, 0.0, 0.0), BaryPoint(3.0, 1.0, float(third)), RIGHT)
+        assert floats.classification == blundon.CLASS_COLLINEAR_SAME_SIDE
+
+    @pytest.mark.parametrize("sides, p, q", [
+        (TriangleSides(3, 4, 5), BaryPoint(3, 4, 5), BaryPoint(Fraction(1), Fraction(3), Fraction(2))),
+        (EXACT_RIGHT, BaryPoint(3, 4, 5), BaryPoint(Fraction(3), Fraction(2), Fraction(1))),
+        (EXACT_RIGHT, BaryPoint(1.5, 0.25, 1.0), BaryPoint(Fraction(3), Fraction(2), Fraction(1))),
+        (EXACT_RIGHT, BaryPoint(1, 0, 0), BaryPoint(3, 1, Fraction(1, 100000))),
+    ], ids=["int sides", "int weights", "float weights", "mixed weights"])
+    def test_other_input_keeps_the_generic_path(self, monkeypatch, sides, p, q):
+        routed = blundon.cos_angle_at_circumcenter(p, q, sides)
+        parts = blundon.general_cos_parts(p, q, sides)
+        monkeypatch.setattr(blundon, "_clear", lambda *args: None)
+        assert repr(routed) == repr(blundon.cos_angle_at_circumcenter(p, q, sides))
+        assert repr(parts) == repr(blundon.general_cos_parts(p, q, sides))
+
+
 class TestClassicalClosedForm:
     def test_right_triangle_value(self):
         assert blundon.classical_cos_ION(RIGHT_EL) == pytest.approx(

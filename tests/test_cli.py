@@ -199,6 +199,33 @@ class TestCos:
         assert data["classification"] == "collinear_same_side"
         assert data["cos"] == 1.0
 
+    @pytest.mark.parametrize("command", ["cos", "bounds"])
+    def test_exact_only_spec_accepted(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--exact", "--sides", "3,4,5", "--p",
+                                 "raw:1/3,1,1", "--q", "incenter", "--format", "json")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["bounds"]["middle"] == "43/14"
+        if command == "cos":
+            assert abs(data["oracle_residual"]) < 1e-12
+
+    @pytest.mark.parametrize("spec", ["raw:1e400,1,1", "raw:1e-400,1e-400,1e-400",
+                                      "cevian:700,0,0"])
+    def test_exact_point_without_float_image_has_no_residual(self, capsys, spec):
+        code, out, err = run_cli(capsys, "cos", "--exact", "--sides", "3,4,5", "--p", spec,
+                                 "--q", "incenter", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["oracle_residual"] is None
+
+    @pytest.mark.parametrize("exact, classification", [
+        (True, "generic"), (False, "collinear_same_side")])
+    def test_near_collinear_classified_exactly_in_exact_mode(self, capsys, exact, classification):
+        argv = ["cos", "--sides", "3,4,5", "--p", "raw:1,0,0", "--q", "raw:3,1,0.00001",
+                "--format", "json"] + (["--exact"] if exact else [])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["classification"] == classification
+
     def test_raw_vertices_give_side_square(self, capsys):
         _, out, _ = run_cli(capsys, "cos", "--sides", "3,4,5",
                             "--p", "raw:1,0,0", "--q", "raw:0,1,0", "--format", "json")
