@@ -19,103 +19,40 @@ Exact mode works the same way with Fraction sides.  The command line
 mirrors the library: `tribary cos --sides 3,4,5 --p incenter --q nagel`.
 """
 
-from tribary.blundon import (
-    AngleReport,
-    BoundTriple,
-    blundon_bounds,
-    classical_cos_ION,
-    cos_angle_at_circumcenter,
-    dual_bound_residual,
-    dual_slack_sq,
-    excenter_adjoint_cos,
-    exradii_identity_residual,
-    fundamental_residual,
-    fundamental_slack_sq,
-    rank_pair_cos,
-    triple_cevian_cos,
-)
-from tribary.centers import (
-    CenterSpec,
-    adjoint_nagel,
-    centroid,
-    cevian_rank,
-    cevian_triangle,
-    circumcenter_point,
-    excenter,
-    incenter,
-    lemoine_point,
-    nagel_point,
-    parse_center_spec,
-    resolve,
-)
-from tribary.errors import (
-    CenterSpecError,
-    DegenerateTriangle,
-    DegenerateVertexAngle,
-    EquilateralDegenerate,
-    GeometryError,
-    NonPositiveWeights,
-    PointAtInfinity,
-    UndefinedAngle,
-)
-from tribary.kernel import (
-    BaryPoint,
-    TriangleElements,
-    TriangleSides,
-    bergstrom_bound,
-    circum_power,
-    circumradius_sq,
-    derive_elements,
-    dist_sq_between,
-)
-from tribary.verify import FuzzConfig, VerificationReport, run_fuzz
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleReport",
-    "BaryPoint",
-    "BoundTriple",
-    "CenterSpec",
-    "CenterSpecError",
-    "DegenerateTriangle",
-    "DegenerateVertexAngle",
-    "EquilateralDegenerate",
-    "FuzzConfig",
-    "GeometryError",
-    "NonPositiveWeights",
-    "PointAtInfinity",
-    "TriangleElements",
-    "TriangleSides",
-    "UndefinedAngle",
-    "VerificationReport",
-    "adjoint_nagel",
-    "bergstrom_bound",
-    "blundon_bounds",
-    "centroid",
-    "cevian_rank",
-    "cevian_triangle",
-    "circum_power",
-    "circumcenter_point",
-    "circumradius_sq",
-    "classical_cos_ION",
-    "cos_angle_at_circumcenter",
-    "derive_elements",
-    "dist_sq_between",
-    "dual_bound_residual",
-    "dual_slack_sq",
-    "excenter",
-    "excenter_adjoint_cos",
-    "exradii_identity_residual",
-    "fundamental_residual",
-    "fundamental_slack_sq",
-    "incenter",
-    "lemoine_point",
-    "nagel_point",
-    "parse_center_spec",
-    "rank_pair_cos",
-    "resolve",
-    "run_fuzz",
-    "triple_cevian_cos",
-    "__version__",
-]
+# module -> the names it exports; each module is imported on first access
+_EXPORTS = {
+    "blundon": (
+        "AngleReport", "BoundTriple", "blundon_bounds", "classical_cos_ION",
+        "cos_angle_at_circumcenter", "dual_bound_residual", "dual_slack_sq",
+        "excenter_adjoint_cos", "exradii_identity_residual", "fundamental_residual",
+        "fundamental_slack_sq", "rank_pair_cos", "triple_cevian_cos",
+    ),
+    "centers": (
+        "CenterSpec", "adjoint_nagel", "centroid", "cevian_rank", "cevian_triangle",
+        "circumcenter_point", "excenter", "incenter", "lemoine_point", "nagel_point",
+        "parse_center_spec", "resolve",
+    ),
+    "errors": (
+        "CenterSpecError", "DegenerateTriangle", "DegenerateVertexAngle",
+        "EquilateralDegenerate", "GeometryError", "NonPositiveWeights", "PointAtInfinity",
+        "UndefinedAngle",
+    ),
+    "kernel": (
+        "BaryPoint", "TriangleElements", "TriangleSides", "bergstrom_bound", "circum_power",
+        "circumradius_sq", "derive_elements", "dist_sq_between",
+    ),
+    "verify": ("FuzzConfig", "VerificationReport", "run_fuzz"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME) + ["__version__"]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

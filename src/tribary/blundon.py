@@ -226,13 +226,15 @@ def cos_angle_at_circumcenter(p: BaryPoint, q: BaryPoint, sides: TriangleSides) 
     cleared = _clear(p, q, sides)
     if cleared is not None:
         return cleared.report()
-    r_sq, op_sq, oq_sq, pq_sq = _legs(p, q, sides)
-    middle = op_sq + oq_sq - pq_sq
-    product = op_sq * oq_sq
     try:
+        r_sq, op_sq, oq_sq, pq_sq = _legs(p, q, sides)
+        middle = op_sq + oq_sq - pq_sq
+        product = op_sq * oq_sq
         upper = 2.0 * math.sqrt(max(float(product), 0.0))
-    except OverflowError as exc:
-        raise DegenerateTriangle("OP^2 OQ^2 exceeds the float range") from exc
+    except OverflowError:  # a Fraction past the float range met a float
+        middle = product = math.inf
+    if not (abs(product) < math.inf and abs(middle) < math.inf):  # catches a non-finite leg too
+        raise DegenerateTriangle("OP^2, OQ^2 or PQ^2 exceeds the float range")
     bounds = BoundTriple(-upper, middle, upper)
     if product <= (EPS_ANGLE * EPS_ANGLE) * r_sq * r_sq:
         return AngleReport(None, op_sq, oq_sq, pq_sq, bounds, CLASS_UNDEFINED)
@@ -500,13 +502,19 @@ def triple_cevian_cos(p1: BaryPoint, p2: BaryPoint, p3: BaryPoint, sides: Triang
     Raises DegenerateVertexAngle when any two of the points (nearly)
     coincide, measured against R^2.
     """
-    d12 = kernel.dist_sq_between(p1, p2, sides)
-    d23 = kernel.dist_sq_between(p2, p3, sides)
-    d31 = kernel.dist_sq_between(p3, p1, sides)
+    try:
+        d12 = kernel.dist_sq_between(p1, p2, sides)
+        d23 = kernel.dist_sq_between(p2, p3, sides)
+        d31 = kernel.dist_sq_between(p3, p1, sides)
+        numerator, product = float(d12 + d23 - d31), float(d12) * float(d23)
+    except OverflowError:  # a Fraction past the float range met a float or float()
+        numerator = product = math.inf
+    if not (abs(product) < math.inf and abs(numerator) < math.inf):  # catches a non-finite leg too
+        raise DegenerateTriangle("a squared distance between the points exceeds the float range")
     r_sq = kernel.circumradius_sq(sides)
     if min(d12, d23, d31) <= EPS_DISTINCT * r_sq:
         raise DegenerateVertexAngle("two of the three points coincide")
-    return _clamp(float(d12 + d23 - d31) / (2.0 * math.sqrt(float(d12) * float(d23))))
+    return _clamp(numerator / (2.0 * math.sqrt(product)))
 
 
 def triple_cevian_cos_variant(

@@ -16,6 +16,7 @@ run with failing checks.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -32,7 +33,6 @@ from .kernel import (
     semiperimeter,
 )
 from .serialize import csv_cell, dumps, format_number
-from .verify import VALID_SUITES, FuzzConfig, load_corpus, run_fuzz
 
 FORMATS = ("human", "json", "csv")
 
@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1000,
                    help="triangles per stratum (default 1000)")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--suite", choices=VALID_SUITES + ("all",), default="all")
+    p.add_argument("--suite", default="all",
+                   help="kernel, classical, dual, cevian or all (default all)")
     p.add_argument("--strata", default=None, metavar="S1,S2",
                    help="comma separated strata (default: all built-in strata)")
     p.add_argument("--tolerance-scale", dest="tolerance_scale", type=parse_number,
@@ -157,6 +158,8 @@ def _center(args, sides, specs, points):
     weights = point.as_tuple()
     total = weights[0] + weights[1] + weights[2]
     normalized = point.normalized()
+    if not all(abs(value) < math.inf for value in normalized):
+        raise GeometryError(f"the normalized weights of {args.spec!r} exceed the float range")
     data = {
         "spec": args.spec,
         "kind": spec.kind,
@@ -277,6 +280,8 @@ def _run_geometry(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import FuzzConfig, load_corpus, run_fuzz  # only verify needs the harness
+
     corpus = load_corpus(args.corpus) if args.corpus else ()
     kwargs = {
         "count": args.count,

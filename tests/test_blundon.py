@@ -133,6 +133,20 @@ class TestAngleReport:
             blundon.cos_angle_at_circumcenter(
                 centers.incenter(sides), centers.nagel_point(sides), sides)
 
+    @pytest.mark.parametrize("p", [BaryPoint(1e200, -1e200, 1.0), BaryPoint(1e308, -1e308, 1.0)])
+    def test_float_legs_outside_float_range_raise(self, p):
+        # OP^2 overflows to inf and the middle to nan; clamping nan once reported cos 1.0
+        with pytest.raises(DegenerateTriangle, match="float range"):
+            blundon.cos_angle_at_circumcenter(p, INCENTER, RIGHT)
+        with pytest.raises(DegenerateTriangle, match="float range"):
+            blundon.blundon_bounds(p, INCENTER, RIGHT)
+
+    def test_mixed_exact_legs_outside_float_range_raise(self):
+        # Fraction and int weights take the generic path with legs near 1e400
+        p = BaryPoint(Fraction(10**200), -(10**200), 1)
+        with pytest.raises(DegenerateTriangle, match="float range"):
+            blundon.cos_angle_at_circumcenter(p, BaryPoint(Fraction(3), 4, 5), EXACT_RIGHT)
+
     def test_bounds_helper_matches_report(self):
         triple = blundon.blundon_bounds(INCENTER, NAGEL, RIGHT)
         report = blundon.cos_angle_at_circumcenter(INCENTER, NAGEL, RIGHT)
@@ -522,6 +536,16 @@ class TestTripleCevian:
     def test_coincident_points_raise(self):
         with pytest.raises(DegenerateVertexAngle):
             blundon.triple_cevian_cos(INCENTER, BaryPoint(6.0, 8.0, 10.0), CENTROID, RIGHT)
+
+    @pytest.mark.parametrize("sides, p1", [
+        (RIGHT, BaryPoint(1e200, -1e200, 1.0)),
+        (RIGHT, BaryPoint(1e308, -1e308, 1.0)),
+        (EXACT_RIGHT, BaryPoint(Fraction(10**200), Fraction(-10**200), Fraction(1))),
+        (EXACT_RIGHT, BaryPoint(Fraction(10**200), -(10**200), 1)),
+    ], ids=["float", "float nan", "exact", "mixed"])
+    def test_distances_outside_float_range_raise(self, sides, p1):
+        with pytest.raises(DegenerateTriangle, match="float range"):
+            blundon.triple_cevian_cos(p1, centers.incenter(sides), centers.centroid(sides), sides)
 
     def test_matches_oracle_for_random_triples(self):
         rng = random.Random(53)

@@ -191,6 +191,22 @@ class TestCos:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("cos", "--sides", "3,4,5", "--p", "raw:1e200,-1e200,1", "--q", "incenter"),
+        ("bounds", "--sides", "3,4,5", "--p", "raw:1e308,-1e308,1", "--q", "incenter"),
+        ("triple", "--sides", "3,4,5", "--p1", "raw:1e200,-1e200,1", "--p2", "incenter",
+         "--p3", "centroid"),
+        ("triple", "--exact", "--sides", "3,4,5", "--p1", "raw:1e200,-1e200,1",
+         "--p2", "incenter", "--p3", "centroid"),
+        ("cos", "--exact", "--sides", "3,4,5", "--p", "raw:1e200,-1e200,1", "--q", "cevian:0,0,0.5"),
+        # the weights are finite, their normalized values are not
+        ("center", "--sides", "3,4,5", "--spec", "raw:1e308,-1e308,1e-300"),
+    ])
+    def test_cancelling_weights_past_the_float_range_exit_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "float range" in err
+
     def test_collinear_same_side(self, capsys):
         code, out, _ = run_cli(capsys, "cos", "--sides", "5,5,6",
                                "--p", "incenter", "--q", "nagel", "--format", "json")
@@ -401,8 +417,9 @@ class TestUsage:
         assert run_cli(capsys, "nonsense")[0] == 2
 
     def test_bad_suite_choice_exit_two(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "--suite", "everything")
+        code, _, err = run_cli(capsys, "verify", "--suite", "everything")
         assert code == 2
+        assert "unknown suite" in err
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
@@ -424,6 +441,8 @@ _SIDES = st.one_of(
 )
 _POINTS = st.one_of(
     st.sampled_from(["incenter", "centroid", "nagel", "lemoine", " Nagel ", "orthocenter", ""]),
+    # finite weights whose normalized values or squared legs pass the float range
+    st.sampled_from(["raw:1e308,-1e308,1", "raw:1e200,-1e200,1", "raw:1e308,-1e308,1e-300"]),
     st.builds("{}:{}".format, st.sampled_from(["excenter", "adjnagel", "incenter"]),
               st.sampled_from(["A", "B", "c", "D", ""])),
     st.builds("raw:{}".format, st.lists(_NUMBERS, min_size=2, max_size=4).map(",".join)),
