@@ -123,24 +123,32 @@ def side_squares(sides: TriangleSides):
     return (sides.a * sides.a, sides.b * sides.b, sides.c * sides.c)
 
 
-def area_sq(sides: TriangleSides):
-    """Squared area by Heron's formula; rational in the sides."""
-    s = semiperimeter(sides)
+def area_sq(sides: TriangleSides, s=None):
+    """Squared area by Heron's formula; rational in the sides.
+
+    s, when given, is the semiperimeter, so a caller that has it pays once.
+    """
+    if s is None:
+        s = semiperimeter(sides)
     return s * (s - sides.a) * (s - sides.b) * (s - sides.c)
 
 
-def circumradius_sq(sides: TriangleSides):
+def circumradius_sq(sides: TriangleSides, area2=None):
+    """R^2 = (abc)^2 / (16 area^2); area2, when given, is area_sq(sides)."""
     abc = sides.a * sides.b * sides.c
-    return abc * abc / (16 * area_sq(sides))
+    if area2 is None:
+        area2 = area_sq(sides)
+    return abc * abc / (16 * area2)
 
 
 def euler_terms(sides: TriangleSides, side=0):
     """(s, R^2, R rho, rho^2), rational in the sides, with rho = area / (s - side):
     the inradius for side 0, else the exradius opposite that side."""
     s = semiperimeter(sides)
+    area2 = area_sq(sides, s)
     gap = s - side
     abc = sides.a * sides.b * sides.c
-    return s, circumradius_sq(sides), abc / (4 * gap), area_sq(sides) / (gap * gap)
+    return s, circumradius_sq(sides, area2), abc / (4 * gap), area2 / (gap * gap)
 
 
 def pow_keep_exact(base, exponent):

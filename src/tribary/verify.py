@@ -19,13 +19,27 @@ Everything else follows from the registration:
 - a check with tolerance 0.0 that is not advisory is an exact rational
   identity and runs only on every ``exact_stride``-th sample of a stratum;
   every other check, the advisory ones included, runs on every sample.
+
+The samples are computed in W worker processes, W being the number of
+CPUs in this process's affinity mask (at most ``count``; 1 where
+``os.fork`` is missing or other threads are running).  Worker w takes the
+slice ``[total*w//W, total*(w+1)//W)`` of every stratum, the corpus
+included; the parent runs slice 0 itself and forks one child per other
+slice, which pickles its accumulators (or the exception that stopped it)
+into a pipe.  ``_merge`` folds the slices in (stratum, slice) order with
+the same strict ``>`` rule as ``CheckAccumulator.record``, so the report,
+and the first error raised, are those of one serial pass over the
+samples, whatever W is.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import pickle
 import random
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -419,6 +433,22 @@ class CheckAccumulator:
             self.worst_sides = ctx.sides.as_tuple()
             self.worst_p = p.as_tuple() if p is not None else None
             self.worst_q = q.as_tuple() if q is not None else None
+
+    def merge(self, part: CheckAccumulator) -> None:
+        """Fold in the accumulator of the samples that follow this one's."""
+        self.samples += part.samples
+        self.skipped += part.skipped
+        self.failures += part.failures
+        if part.max_abs_residual > self.max_abs_residual:
+            self.max_abs_residual = part.max_abs_residual
+        if part.max_rel_residual > self.max_rel_residual:
+            self.max_rel_residual = part.max_rel_residual
+        if part._worst_key > self._worst_key:
+            self._worst_key = part._worst_key
+            self.worst_stratum = part.worst_stratum
+            self.worst_sides = part.worst_sides
+            self.worst_p = part.worst_p
+            self.worst_q = part.worst_q
 
     @property
     def passed(self) -> bool:
@@ -997,28 +1027,122 @@ def diag_triple_expansion_sign(ctx):
 
 def run_fuzz(config: FuzzConfig) -> VerificationReport:
     """Execute every enabled check over the configured strata."""
+    return _run_fuzz(config, _worker_count(config.count))
+
+
+def _worker_count(count: int) -> int:
+    """The CPUs this process may run on, at most count.
+
+    1 without os.fork, and while other threads run: a forked child gets only
+    the calling thread, and any lock another thread held stays locked in it.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, count)
+
+
+def _run_fuzz(config: FuzzConfig, workers: int) -> VerificationReport:
+    """run_fuzz with its samples split over the given number of workers."""
     suites = config.enabled_suites()
-    active = []
-    for run, suite, tolerance, note in _CHECKS:
-        if suite in suites:
-            acc = CheckAccumulator(run.__name__, suite, tolerance, note)
-            active.append((run, tolerance == 0.0 and not acc.advisory, acc))
-    strata = list(config.strata)
+    checks = [entry for entry in _CHECKS if entry[1] in suites]
+    strata = [(stratum, config.count) for stratum in config.strata]
     if config.corpus:
-        strata.append("corpus")
-    contexts = 0
-    for stratum in strata:
-        total = len(config.corpus) if stratum == "corpus" else config.count
-        for index in range(total):
-            ctx = _Sample(stratum, index, config)
-            contexts += 1
-            for run, exact, acc in active:
-                if exact and not ctx.exact_now:
-                    continue
-                result = run(ctx)
-                if result is None:
-                    acc.skipped += 1
-                else:
-                    acc.record(ctx, *result)
-    return VerificationReport(config=config, checks=[acc for _, _, acc in active],
-                              contexts=contexts)
+        strata.append(("corpus", len(config.corpus)))
+    children = []
+    try:
+        for worker in range(1, workers):
+            children.append(_fork_share(config, checks, strata, worker, workers))
+        shares = [_run_share(config, checks, strata, 0, workers)]
+        while children:
+            shares.append(_join_share(*children.pop(0)))
+    finally:
+        for pid, read_fd in children:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+    return VerificationReport(config=config, checks=_merge(checks, strata, shares),
+                              contexts=sum(total for _, total in strata))
+
+
+def _accumulators(checks) -> list:
+    return [CheckAccumulator(run.__name__, suite, tolerance, note)
+            for run, suite, tolerance, note in checks]
+
+
+def _run_share(config: FuzzConfig, checks, strata, worker: int, workers: int) -> tuple:
+    """Slice worker of workers of every stratum, as (slices, error).
+
+    slices holds one accumulator list per stratum finished; error is the
+    exception that stopped the share in the next stratum, or None.
+    """
+    slices = []
+    try:
+        for stratum, total in strata:
+            accs = _accumulators(checks)
+            active = [(run, tolerance == 0.0 and not acc.advisory, acc)
+                      for (run, _, tolerance, _), acc in zip(checks, accs)]
+            for index in range(total * worker // workers, total * (worker + 1) // workers):
+                ctx = _Sample(stratum, index, config)
+                for run, exact, acc in active:
+                    if exact and not ctx.exact_now:
+                        continue
+                    result = run(ctx)
+                    if result is None:
+                        acc.skipped += 1
+                    else:
+                        acc.record(ctx, *result)
+            slices.append(accs)
+    except Exception as exc:
+        return slices, exc
+    return slices, None
+
+
+def _fork_share(config: FuzzConfig, checks, strata, worker: int, workers: int) -> tuple:
+    """Fork a child that pickles its share into a pipe; returns (pid, read end)."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The child never returns: os._exit skips the inherited stdio
+        # buffers and exit handlers, which belong to the parent.
+        status = 1
+        try:
+            os.close(read_fd)
+            share = _run_share(config, checks, strata, worker, workers)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(share))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _join_share(pid: int, read_fd: int) -> tuple:
+    """Read a child's share to EOF, then reap the child."""
+    try:
+        with open(read_fd, "rb") as pipe:
+            payload = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not payload:
+        raise RuntimeError(f"verify worker {pid} ended without a result (wait status {status})")
+    return pickle.loads(payload)
+
+
+def _merge(checks, strata, shares) -> list:
+    """Fold the shares' slices in (stratum, slice) order into one accumulator per check.
+
+    A share that stopped in a stratum re-raises its error there: in that
+    order it is the first error a serial pass would have met.
+    """
+    merged = _accumulators(checks)
+    for stratum in range(len(strata)):
+        for slices, error in shares:
+            if stratum == len(slices):
+                raise error
+            for total, part in zip(merged, slices[stratum]):
+                total.merge(part)
+    return merged

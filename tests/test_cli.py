@@ -3,13 +3,19 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribary.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -407,6 +413,23 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--count", "-5")
         assert code == 2
         assert "error:" in err
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_verify_output_does_not_depend_on_the_cpus(tmp_path):
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("a,b,c\n3,4,5\n1,1,2\n5,5,6\n1,2,4\n", encoding="utf-8")
+    cpu = min(os.sched_getaffinity(0))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    command = [sys.executable, "-m", "tribary.cli", "verify", "--count", "20", "--seed", "3"]
+    for extra in (["--format", "human"], ["--format", "json"], ["--format", "csv"],
+                  ["--corpus", str(corpus)]):
+        runs = [subprocess.run(command + extra, env=env, capture_output=True, preexec_fn=pin)
+                for pin in (None, lambda: os.sched_setaffinity(0, {cpu}))]
+        normal, pinned = ((run.returncode, run.stdout, run.stderr) for run in runs)
+        assert normal == pinned, extra
+    # the last run reads the corpus, whose first bad row is 1,1,2
+    assert normal == (1, b"", b"error: triangle inequality fails for (1.0, 1.0, 2.0)\n")
 
 
 class TestUsage:

@@ -1,10 +1,13 @@
 """Tests for the seeded fuzz verification harness."""
 
+import os
 import random
+import threading
 from fractions import Fraction
 
 import pytest
 
+from tribary import verify
 from tribary.errors import GeometryError
 from tribary.kernel import TriangleSides
 from tribary.verify import (
@@ -17,6 +20,7 @@ from tribary.verify import (
     _isosceles_sides,
     _near_degenerate_sides,
     _near_equilateral_sides,
+    _run_fuzz,
     _uniform_sides,
     load_corpus,
     run_fuzz,
@@ -229,3 +233,84 @@ class TestRunFuzz:
         assert len(report.failed_names) > 0
         for name in report.failed_names:
             assert not name.startswith("diag_")
+
+
+class SliceError(ArithmeticError):
+    """Raised by the test checks below in some processes and not in others."""
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers need os.fork")
+class TestWorkers:
+    # 7 samples per stratum and 2 corpus rows: no worker count below divides both.
+    CONFIG = FuzzConfig(count=7, seed=13, exact_stride=3,
+                        corpus=(("3", "4", "5"), ("5", "5", "6")))
+
+    def test_report_does_not_depend_on_the_worker_count(self):
+        serial = _run_fuzz(self.CONFIG, 1).to_json()
+        for workers in (2, 3, 9):
+            assert _run_fuzz(self.CONFIG, workers).to_json() == serial, workers
+        assert run_fuzz(self.CONFIG).to_json() == serial
+
+    def test_first_degenerate_corpus_row_is_named_whatever_the_workers(self):
+        rows = (("3", "4", "5"), ("1", "1", "2"), ("3", "4", "5"), ("1", "2", "4"))
+        config = FuzzConfig(count=3, seed=2, corpus=rows)
+        raised = []
+        for workers in (1, 2, 3):
+            with pytest.raises(GeometryError) as info:
+                _run_fuzz(config, workers)
+            raised.append((type(info.value), str(info.value)))
+        assert raised == [raised[0]] * 3
+        assert "(1.0, 1.0, 2.0)" in raised[0][1]
+
+    def test_error_in_a_child_slice_reaches_the_parent(self, monkeypatch):
+        parent = os.getpid()
+
+        def raise_in_child(ctx):
+            if os.getpid() != parent:
+                raise SliceError(f"child {ctx.stratum}")
+            return None
+
+        monkeypatch.setattr(verify, "_CHECKS", [(raise_in_child, "kernel", 1e-9, None)])
+        with pytest.raises(SliceError, match="child uniform"):
+            _run_fuzz(FuzzConfig(count=4, seed=1), 2)
+        _assert_no_child_left()
+
+    def test_first_error_in_stratum_order_wins(self, monkeypatch):
+        parent = os.getpid()
+
+        def raise_late_in_parent(ctx):
+            # The parent's share fails in a later stratum than the child's.
+            if os.getpid() == parent and ctx.stratum == "isosceles":
+                raise SliceError("parent isosceles")
+            if os.getpid() != parent and ctx.stratum == "near_degenerate":
+                raise SliceError("child near_degenerate")
+            return None
+
+        monkeypatch.setattr(verify, "_CHECKS", [(raise_late_in_parent, "kernel", 1e-9, None)])
+        with pytest.raises(SliceError, match="child near_degenerate"):
+            _run_fuzz(FuzzConfig(count=4, seed=1), 2)
+
+    def test_one_worker_per_cpu_and_none_beside_another_thread(self):
+        assert verify._worker_count(1) == 1
+        assert 1 <= verify._worker_count(10 ** 6) <= os.cpu_count()
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert verify._worker_count(10 ** 6) == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_every_child_is_reaped(self):
+        assert _run_fuzz(FuzzConfig(count=6, seed=3), 3).passed
+        _assert_no_child_left()
+        with pytest.raises(GeometryError):
+            _run_fuzz(FuzzConfig(count=6, seed=3, corpus=(("1", "1", "2"),) * 3), 3)
+        _assert_no_child_left()
