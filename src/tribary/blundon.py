@@ -77,31 +77,22 @@ def _clamp(value: float) -> float:
 
 
 def _legs(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
-    """(R^2, OP^2, OQ^2, PQ^2), the squared legs of the triangle POQ."""
-    r_sq = kernel.circumradius_sq(sides)
-    op_sq = r_sq - kernel.circum_power(p, sides)
-    oq_sq = r_sq - kernel.circum_power(q, sides)
-    return r_sq, op_sq, oq_sq, kernel.dist_sq_between(p, q, sides)
-
-
-class _ScaledSides(NamedTuple):
-    """Integer sides, read by kernel._quadratic_form as it reads TriangleSides."""
-
-    a: int
-    b: int
-    c: int
+    """(OP^2, OQ^2, PQ^2), the squared legs of the triangle POQ."""
+    r_sq = sides.r_sq
+    return (r_sq - kernel.circum_power(p, sides), r_sq - kernel.circum_power(q, sides),
+            kernel.dist_sq_between(p, q, sides))
 
 
 class _Cleared(NamedTuple):
     """Theorem 3.1 over the integers, for Fraction sides and weights.
 
     Every squared length is homogeneous in the sides and in each point's
-    weights, so the sides are scaled by the lcm lam of their denominators and
-    each point's weights to coprime integers.  With H = 16 area^2 of the scaled
-    sides, sigma the scaled weight sums and F the kernel's quadratic form (the
-    displacement form of Schindler and Chen, with the denominators cleared):
+    weights, so it reads the integer contexts of the kernel: the triangle's
+    (A, B, C) = lam (a, b, c), H and (ABC)^2, and each point's coprime
+    weights, with sums sigma.  With F the quadratic form over (A, B, C) (the
+    displacement form of Schindler and Chen, denominators cleared):
 
-        OP^2 = N_P / (H lam^2 sigma_P^2),   N_P = (abc)^2 sigma_P^2 - H F(P),
+        OP^2 = N_P / (H lam^2 sigma_P^2),   N_P = (ABC)^2 sigma_P^2 - H F(P),
         PQ^2 = -F_D / (lam^2 sigma_P^2 sigma_Q^2),   F_D = F(sigma_Q P - sigma_P Q),
         OP^2 + OQ^2 - PQ^2 = M / (H lam^2 sigma_P^2 sigma_Q^2),
         M = N_P sigma_Q^2 + N_Q sigma_P^2 + H F_D.
@@ -109,7 +100,7 @@ class _Cleared(NamedTuple):
     Every field is a Python int; only the reported values become Fractions.
     """
 
-    abc_sq: int  # (abc)^2 of the scaled sides
+    abc_sq: int  # (ABC)^2
     leg_den: int  # H lam^2
     lam_sq: int
     sp_sq: int
@@ -119,14 +110,6 @@ class _Cleared(NamedTuple):
     f_d: int
     m: int
 
-    def middle(self) -> Fraction:
-        """OP^2 + OQ^2 - PQ^2, the middle member of the bound triple."""
-        return Fraction(self.m, self.leg_den * self.sp_sq * self.sq_sq)
-
-    def radicand(self) -> Fraction:
-        """4 OP^2 OQ^2."""
-        return Fraction(4 * self.n_p * self.n_q, self.leg_den ** 2 * self.sp_sq * self.sq_sq)
-
     def report(self) -> AngleReport:
         """cos_angle_at_circumcenter's report, with its guards in the same
         order; Theorem 3.2's equality case is decided exactly."""
@@ -134,7 +117,7 @@ class _Cleared(NamedTuple):
         op_sq = Fraction(n_p, leg_den * sp_sq)
         oq_sq = Fraction(n_q, leg_den * sq_sq)
         pq_sq = Fraction(-f_d, lam_sq * sp_sq * sq_sq)
-        middle = self.middle()
+        middle = Fraction(m, leg_den * sp_sq * sq_sq)  # OP^2 + OQ^2 - PQ^2
         product, product_den = n_p * n_q, leg_den * leg_den * sp_sq * sq_sq
         try:  # int / int is correctly rounded, as float(Fraction) is
             upper = 2.0 * math.sqrt(max(product / product_den, 0.0))
@@ -143,7 +126,7 @@ class _Cleared(NamedTuple):
         bounds = BoundTriple(-upper, middle, upper)
         r_sq = abc_sq / leg_den  # float(R^2)
         threshold = ((EPS_ANGLE * EPS_ANGLE) * r_sq) * r_sq
-        if threshold == math.inf or _at_most(product, product_den, threshold):
+        if threshold == math.inf or kernel._at_most(product, product_den, threshold):
             return AngleReport(None, op_sq, oq_sq, pq_sq, bounds, CLASS_UNDEFINED)
         if upper == 0.0:
             raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")
@@ -158,47 +141,22 @@ class _Cleared(NamedTuple):
         return AngleReport(cos_value, op_sq, oq_sq, pq_sq, bounds, classification)
 
 
-def _cleared_ints(x: Fraction, y: Fraction, z: Fraction):
-    """(X, Y, Z), lcm: three Fractions scaled by the lcm of their denominators."""
-    dx, dy, dz = x.denominator, y.denominator, z.denominator
-    lcm = math.lcm(dx, dy, dz)
-    return (x.numerator * (lcm // dx), y.numerator * (lcm // dy), z.numerator * (lcm // dz)), lcm
-
-
-def _primitive(point: BaryPoint):
-    """The coprime integer weights proportional to a point's Fraction weights."""
-    (x, y, z), _ = _cleared_ints(point.t1, point.t2, point.t3)
-    g = math.gcd(x, y, z)
-    return x // g, y // g, z // g
-
-
 def _clear(p: BaryPoint, q: BaryPoint, sides: TriangleSides) -> Optional[_Cleared]:
-    """The integers of _Cleared, or None unless the sides and all six weights
-    are Fractions: int sides and int or float weights compute in floats."""
-    if not (Fraction is type(sides.a) is type(sides.b) is type(sides.c) is type(p.t1)
-            is type(p.t2) is type(p.t3) is type(q.t1) is type(q.t2) is type(q.t3)):
+    """The integers of _Cleared, or None unless the sides and all six weights are
+    Fractions, which carry integer contexts: int sides, int or float weights compute in floats."""
+    if sides.ints is None or p.ints is None or q.ints is None:
         return None
-    (big_a, big_b, big_c), lam = _cleared_ints(sides.a, sides.b, sides.c)
-    scaled = _ScaledSides(big_a, big_b, big_c)
-    p1, p2, p3 = _primitive(p)
-    q1, q2, q3 = _primitive(q)
-    a_sq, b_sq, c_sq = big_a * big_a, big_b * big_b, big_c * big_c
-    h = 2 * (a_sq * b_sq + b_sq * c_sq + c_sq * a_sq) - a_sq * a_sq - b_sq * b_sq - c_sq * c_sq
-    abc_sq = a_sq * b_sq * c_sq
+    h, abc_sq, lam = sides.h, sides.abc_sq, sides.lam
+    p1, p2, p3 = p.ints
+    q1, q2, q3 = q.ints
     sp, sq = p1 + p2 + p3, q1 + q2 + q3
     sp_sq, sq_sq = sp * sp, sq * sq
-    n_p = abc_sq * sp_sq - h * kernel._quadratic_form((p1, p2, p3), scaled)
-    n_q = abc_sq * sq_sq - h * kernel._quadratic_form((q1, q2, q3), scaled)
-    f_d = kernel._quadratic_form((sq * p1 - sp * q1, sq * p2 - sp * q2, sq * p3 - sp * q3), scaled)
+    n_p = abc_sq * sp_sq - h * kernel._quadratic_form(p.ints, *sides.ints)
+    n_q = abc_sq * sq_sq - h * kernel._quadratic_form(q.ints, *sides.ints)
+    f_d = kernel._quadratic_form((sq * p1 - sp * q1, sq * p2 - sp * q2, sq * p3 - sp * q3),
+                                 *sides.ints)
     m = n_p * sq_sq + n_q * sp_sq + h * f_d
     return _Cleared(abc_sq, h * lam * lam, lam * lam, sp_sq, sq_sq, n_p, n_q, f_d, m)
-
-
-def _at_most(numerator: int, denominator: int, bound: float) -> bool:
-    """numerator / denominator <= bound, exactly, for a finite bound and a
-    positive denominator."""
-    bound_num, bound_den = bound.as_integer_ratio()
-    return numerator * bound_den <= bound_num * denominator
 
 
 def general_cos_parts(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
@@ -207,10 +165,11 @@ def general_cos_parts(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
     Returns (numerator, radicand) with cos = numerator / sqrt(radicand); both
     stay exact for rational input.
     """
-    cleared = _clear(p, q, sides)
-    if cleared is not None:
-        return cleared.middle(), cleared.radicand()
-    _, op_sq, oq_sq, pq_sq = _legs(p, q, sides)
+    c = _clear(p, q, sides)
+    if c is not None:
+        den = c.leg_den * c.sp_sq * c.sq_sq
+        return Fraction(c.m, den), Fraction(4 * c.n_p * c.n_q, den * c.leg_den)
+    op_sq, oq_sq, pq_sq = _legs(p, q, sides)
     return op_sq + oq_sq - pq_sq, 4 * op_sq * oq_sq
 
 
@@ -227,7 +186,7 @@ def cos_angle_at_circumcenter(p: BaryPoint, q: BaryPoint, sides: TriangleSides) 
     if cleared is not None:
         return cleared.report()
     try:
-        r_sq, op_sq, oq_sq, pq_sq = _legs(p, q, sides)
+        op_sq, oq_sq, pq_sq = _legs(p, q, sides)
         middle = op_sq + oq_sq - pq_sq
         product = op_sq * oq_sq
         upper = 2.0 * math.sqrt(max(float(product), 0.0))
@@ -236,7 +195,7 @@ def cos_angle_at_circumcenter(p: BaryPoint, q: BaryPoint, sides: TriangleSides) 
     if not (abs(product) < math.inf and abs(middle) < math.inf):  # catches a non-finite leg too
         raise DegenerateTriangle("OP^2, OQ^2 or PQ^2 exceeds the float range")
     bounds = BoundTriple(-upper, middle, upper)
-    if product <= (EPS_ANGLE * EPS_ANGLE) * r_sq * r_sq:
+    if product <= (EPS_ANGLE * EPS_ANGLE) * sides.r_sq * sides.r_sq:
         return AngleReport(None, op_sq, oq_sq, pq_sq, bounds, CLASS_UNDEFINED)
     if upper == 0.0:  # only an exact product can underflow here
         raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")
@@ -354,11 +313,9 @@ def exradii_identity_parts(sides: TriangleSides):
     is algebraic, so exact input gives lhs == rhs exactly.
     """
     a, b, c = sides.as_tuple()
-    s = kernel.semiperimeter(sides)
-    area = kernel.area_sq(sides)
-    ua, ub, uc = s - a, s - b, s - c
+    s, (ua, ub, uc), area = sides.s, sides.gaps, sides.area2
     lhs = (-(a * a) * ub * uc + (b * b) * s * ub + (c * c) * s * uc) / area
-    rhs = (a * b * c) * ua / area + 4
+    rhs = sides.abc * ua / area + 4
     return lhs, rhs
 
 
@@ -374,8 +331,7 @@ def exradii_identity_residual(sides: TriangleSides):
 def rank_point_circum_power(k, sides: TriangleSides):
     """circum_power of the rank-k point, via power sums: (abc)^k S_{2-k} / S_k^2."""
     s_k = kernel.power_sum(sides, k)
-    abc = sides.a * sides.b * sides.c
-    return kernel.pow_keep_exact(abc, k) * kernel.power_sum(sides, 2 - k) / (s_k * s_k)
+    return kernel.pow_keep_exact(sides.abc, k) * kernel.power_sum(sides, 2 - k) / (s_k * s_k)
 
 
 def _rank_normalized(k, sides: TriangleSides):
@@ -413,8 +369,7 @@ def rank_pair_cos(k1, k2, sides: TriangleSides) -> float:
     put every rank point there).
     """
     numerator, radicand = rank_pair_parts(k1, k2, sides)
-    r_sq = kernel.circumradius_sq(sides)
-    if radicand <= 4 * (EPS_ANGLE * EPS_ANGLE) * r_sq * r_sq:
+    if radicand <= 4 * (EPS_ANGLE * EPS_ANGLE) * sides.r_sq * sides.r_sq:
         raise UndefinedAngle(f"rank ({k1}, {k2}) legs vanish at the circumcenter")
     return _clamp(float(numerator) / math.sqrt(float(radicand)))
 
@@ -511,8 +466,7 @@ def triple_cevian_cos(p1: BaryPoint, p2: BaryPoint, p3: BaryPoint, sides: Triang
         numerator = product = math.inf
     if not (abs(product) < math.inf and abs(numerator) < math.inf):  # catches a non-finite leg too
         raise DegenerateTriangle("a squared distance between the points exceeds the float range")
-    r_sq = kernel.circumradius_sq(sides)
-    if min(d12, d23, d31) <= EPS_DISTINCT * r_sq:
+    if min(d12, d23, d31) <= EPS_DISTINCT * sides.r_sq:
         raise DegenerateVertexAngle("two of the three points coincide")
     return _clamp(numerator / (2.0 * math.sqrt(product)))
 
@@ -534,8 +488,7 @@ def triple_cevian_cos_variant(
     a_sq, b_sq, c_sq = kernel.side_squares(sides)
     d12 = -(be12 * ga12 * a_sq + ga12 * al12 * b_sq + al12 * be12 * c_sq)
     d23 = -(be23 * ga23 * a_sq + ga23 * al23 * b_sq + al23 * be23 * c_sq)
-    r_sq = kernel.circumradius_sq(sides)
-    if min(d12, d23) <= EPS_DISTINCT * r_sq:
+    if min(d12, d23) <= EPS_DISTINCT * sides.r_sq:
         raise DegenerateVertexAngle("two of the three points coincide")
     numerator = (
         -a_sq * (be12 * ga12 + be23 * ga23 - be31 * ga31)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CenterSpecError, DegenerateTriangle, GeometryError, InputError
-from .kernel import BaryPoint, TriangleSides, pow_keep_exact, semiperimeter
+from .kernel import BaryPoint, TriangleSides, pow_keep_exact
 
 VERTICES = ("A", "B", "C")
 
@@ -56,8 +56,7 @@ def centroid(sides: TriangleSides) -> BaryPoint:
 
 
 def nagel_point(sides: TriangleSides) -> BaryPoint:
-    s = semiperimeter(sides)
-    return BaryPoint(s - sides.a, s - sides.b, s - sides.c)
+    return BaryPoint(*sides.gaps)  # s - a : s - b : s - c
 
 
 def lemoine_point(sides: TriangleSides) -> BaryPoint:
@@ -92,14 +91,13 @@ def adjoint_nagel(vertex: str, sides: TriangleSides) -> BaryPoint:
     The A-point has weights (s, c - s, b - s); B and C are the cyclic
     relabelings.  Each weight sum collapses to s minus the named side.
     """
-    a, b, c = sides.as_tuple()
-    s = semiperimeter(sides)
+    s, (gap_a, gap_b, gap_c) = sides.s, sides.gaps
     if vertex == "A":
-        return BaryPoint(s, c - s, b - s)
+        return BaryPoint(s, -gap_c, -gap_b)
     if vertex == "B":
-        return BaryPoint(c - s, s, a - s)
+        return BaryPoint(-gap_c, s, -gap_a)
     if vertex == "C":
-        return BaryPoint(b - s, a - s, s)
+        return BaryPoint(-gap_b, -gap_a, s)
     raise CenterSpecError(f"vertex must be A, B, or C, got {vertex!r}")
 
 
@@ -110,12 +108,12 @@ def cevian_rank(k, l, m, sides: TriangleSides) -> BaryPoint:
     point, and (0,1,0) the Nagel point.
     """
     a, b, c = sides.as_tuple()
-    s = semiperimeter(sides)
+    gap_a, gap_b, gap_c = sides.gaps
     try:  # an exact factor times a float one is a float, and may not fit
         return BaryPoint(
-            pow_keep_exact(a, k) * pow_keep_exact(s - a, l) * pow_keep_exact(b + c, m),
-            pow_keep_exact(b, k) * pow_keep_exact(s - b, l) * pow_keep_exact(a + c, m),
-            pow_keep_exact(c, k) * pow_keep_exact(s - c, l) * pow_keep_exact(a + b, m),
+            pow_keep_exact(a, k) * pow_keep_exact(gap_a, l) * pow_keep_exact(b + c, m),
+            pow_keep_exact(b, k) * pow_keep_exact(gap_b, l) * pow_keep_exact(a + c, m),
+            pow_keep_exact(c, k) * pow_keep_exact(gap_c, l) * pow_keep_exact(a + b, m),
         )
     except OverflowError as exc:
         raise GeometryError("cevian weights leave the float range") from exc

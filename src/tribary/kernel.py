@@ -6,6 +6,16 @@ so every function that stays at the squared level is written once with plain
 arithmetic and works unchanged for ``float`` and ``fractions.Fraction``
 inputs.  Only :func:`derive_elements` takes square roots and therefore always
 produces floats.
+
+Triangles and points compute a context once, at construction, kept out of
+``==``, ``hash`` and ``repr``.  :class:`TriangleSides` caches ``s``, ``gaps``
+(s - a, s - b, s - c), ``abc``, ``area2`` and ``r_sq`` (R^2).  Three
+``Fraction`` sides are validated in, and cached from, the integer context of
+the exact route: ``ints`` (A, B, C) = lam (a, b, c) with ``lam`` the lcm of
+their denominators, ``h`` = H = 16 area^2 of (A, B, C), and ``abc_sq`` =
+(ABC)^2.  A :class:`BaryPoint` of three ``Fraction`` weights keeps proportional
+coprime integer weights in ``ints``.  Other input has no integer context: its
+``ints`` (and ``lam``, ``h``, ``abc_sq``) are None.
 """
 
 from __future__ import annotations
@@ -13,11 +23,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
 from .errors import DegenerateTriangle, GeometryError, NonPositiveWeights, PointAtInfinity
 
-Scalar = Union[float, "fractions.Fraction"]  # noqa: F821 - documentation alias
+Scalar = Union[float, Fraction]
 
 # A triangle is rejected when its smallest sideline gap is below this fraction
 # of the perimeter; circumradius and closed forms blow up past that point.
@@ -39,32 +50,72 @@ def _message(pattern: str, *values) -> str:
         return pattern.replace("!r", "").format(*["..."] * len(values))
 
 
+def _cleared(x: Fraction, y: Fraction, z: Fraction):
+    """((X, Y, Z), lcm): three Fractions scaled by the lcm of their denominators."""
+    dx, dy, dz = x.denominator, y.denominator, z.denominator
+    lcm = math.lcm(dx, dy, dz)
+    return (x.numerator * (lcm // dx), y.numerator * (lcm // dy), z.numerator * (lcm // dz)), lcm
+
+
+def _at_most(numerator: int, denominator: int, bound: float) -> bool:
+    """numerator / denominator <= bound, exactly, for a finite bound and a
+    positive denominator."""
+    bound_num, bound_den = bound.as_integer_ratio()
+    return numerator * bound_den <= bound_num * denominator
+
+
+def _cache(obj, **values):
+    """Set attributes of a frozen instance, as its generated __init__ does."""
+    for item in values.items():
+        object.__setattr__(obj, *item)
+
+
 @dataclass(frozen=True)
 class TriangleSides:
-    """Side lengths a = BC, b = CA, c = AB of a strict triangle."""
+    """Side lengths a = BC, b = CA, c = AB of a strict triangle, and their context."""
 
     a: Scalar
     b: Scalar
     c: Scalar
 
+    ints = lam = h = abc_sq = None  # not fields: no integer context
+
     def __post_init__(self):
         a, b, c = self.a, self.b, self.c
-        if min(a, b, c) <= 0:
+        exact = Fraction is type(a) is type(b) is type(c)
+        (x, y, z), lam = _cleared(a, b, c) if exact else ((a, b, c), 1)
+        if min(x, y, z) <= 0:
             raise DegenerateTriangle(_message("non-positive side in ({}, {}, {})", a, b, c))
-        perimeter = a + b + c
-        gap = min(a + b - c, b + c - a, c + a - b)
-        try:
-            thin = gap <= EPS_TRIANGLE * perimeter
+        perimeter = x + y + z
+        twice_gaps = (y + z - x, z + x - y, x + y - z)  # 2 lam (s - a, s - b, s - c)
+        try:  # gap <= fl(EPS_TRIANGLE fl(perimeter)); int / int rounds as float(Fraction)
+            bound = EPS_TRIANGLE * (perimeter / lam)
         except OverflowError as exc:  # an exact perimeter past the float range
             raise DegenerateTriangle("sides exceed the float range") from exc
-        if thin:
+        if _at_most(min(twice_gaps), lam, bound) if exact else min(twice_gaps) <= bound:
             raise DegenerateTriangle(
                 _message("triangle inequality fails for ({}, {}, {})", a, b, c))
+        if exact:  # the float path's names first, in its order, so instances share keys
+            h = perimeter * twice_gaps[0] * twice_gaps[1] * twice_gaps[2]  # Heron
+            xyz, lam_sq, half = x * y * z, lam * lam, 2 * lam
+            return _cache(self, s=Fraction(perimeter, half),
+                          gaps=tuple(Fraction(gap, half) for gap in twice_gaps),
+                          abc=Fraction(xyz, lam_sq * lam), area2=Fraction(h, 16 * lam_sq * lam_sq),
+                          r_sq=Fraction(xyz * xyz, h * lam_sq), ints=(x, y, z), lam=lam, h=h,
+                          abc_sq=xyz * xyz)
+        s = perimeter / 2
+        gaps = (s - a, s - b, s - c)
+        abc = a * b * c
+        area2 = s * gaps[0] * gaps[1] * gaps[2]
         if isinstance(perimeter, float):
-            abc = a * b * c
-            if not (0 < abc * abc < math.inf and 0 < 16 * area_sq(self) < math.inf):
+            if not (0 < abc * abc < math.inf and 0 < 16 * area2 < math.inf):
                 raise DegenerateTriangle(
                     f"sides ({a}, {b}, {c}) leave abc^2 or 16 area^2 outside the float range")
+        try:
+            r_sq = abc * abc / (16 * area2)
+        except OverflowError as exc:  # int sides past the float range
+            raise DegenerateTriangle("sides exceed the float range") from exc
+        _cache(self, s=s, gaps=gaps, abc=abc, area2=area2, r_sq=r_sq)
 
     def as_tuple(self):
         return (self.a, self.b, self.c)
@@ -72,26 +123,37 @@ class TriangleSides:
 
 @dataclass(frozen=True)
 class BaryPoint:
-    """Homogeneous weights t1 : t2 : t3 with nonzero sum."""
+    """Homogeneous weights t1 : t2 : t3 with nonzero sum, and their context."""
 
     t1: Scalar
     t2: Scalar
     t3: Scalar
 
+    ints = None  # not a field: no integer context
+
     def __post_init__(self):
-        total = self.t1 + self.t2 + self.t3
+        t1, t2, t3 = self.t1, self.t2, self.t3
+        exact = Fraction is type(t1) is type(t2) is type(t3)
+        (x, y, z), _ = _cleared(t1, t2, t3) if exact else ((t1, t2, t3), 1)
+        total = x + y + z
         if total == 0:
-            raise PointAtInfinity(
-                _message("weights ({!r}, {!r}, {!r}) sum to zero", *self.as_tuple()))
+            raise PointAtInfinity(_message("weights ({!r}, {!r}, {!r}) sum to zero", t1, t2, t3))
         if not abs(total) < math.inf:
             raise GeometryError(_message(
-                "weights ({!r}, {!r}, {!r}) overflow: their sum is not finite", *self.as_tuple()))
+                "weights ({!r}, {!r}, {!r}) overflow: their sum is not finite", t1, t2, t3))
+        if exact:
+            g = math.gcd(x, y, z)
+            _cache(self, ints=(x // g, y // g, z // g))
 
     def as_tuple(self):
         return (self.t1, self.t2, self.t3)
 
     def normalized(self):
         """Coordinates divided by their sum; invariant under rescaling."""
+        if self.ints is not None:
+            x, y, z = self.ints
+            total = x + y + z
+            return (Fraction(x, total), Fraction(y, total), Fraction(z, total))
         total = self.t1 + self.t2 + self.t3
         return (self.t1 / total, self.t2 / total, self.t3 / total)
 
@@ -116,39 +178,28 @@ class TriangleElements:
 
 
 def semiperimeter(sides: TriangleSides):
-    return (sides.a + sides.b + sides.c) / 2
+    return sides.s
 
 
 def side_squares(sides: TriangleSides):
     return (sides.a * sides.a, sides.b * sides.b, sides.c * sides.c)
 
 
-def area_sq(sides: TriangleSides, s=None):
-    """Squared area by Heron's formula; rational in the sides.
-
-    s, when given, is the semiperimeter, so a caller that has it pays once.
-    """
-    if s is None:
-        s = semiperimeter(sides)
-    return s * (s - sides.a) * (s - sides.b) * (s - sides.c)
+def area_sq(sides: TriangleSides):
+    """Squared area by Heron's formula, s (s - a) (s - b) (s - c); rational in the sides."""
+    return sides.area2
 
 
-def circumradius_sq(sides: TriangleSides, area2=None):
-    """R^2 = (abc)^2 / (16 area^2); area2, when given, is area_sq(sides)."""
-    abc = sides.a * sides.b * sides.c
-    if area2 is None:
-        area2 = area_sq(sides)
-    return abc * abc / (16 * area2)
+def circumradius_sq(sides: TriangleSides):
+    """R^2 = (abc)^2 / (16 area^2)."""
+    return sides.r_sq
 
 
 def euler_terms(sides: TriangleSides, side=0):
     """(s, R^2, R rho, rho^2), rational in the sides, with rho = area / (s - side):
     the inradius for side 0, else the exradius opposite that side."""
-    s = semiperimeter(sides)
-    area2 = area_sq(sides, s)
-    gap = s - side
-    abc = sides.a * sides.b * sides.c
-    return s, circumradius_sq(sides, area2), abc / (4 * gap), area2 / (gap * gap)
+    gap = sides.s - side
+    return sides.s, sides.r_sq, sides.abc / (4 * gap), sides.area2 / (gap * gap)
 
 
 def pow_keep_exact(base, exponent):
@@ -202,10 +253,9 @@ def derive_elements(sides: TriangleSides) -> TriangleElements:
     )
 
 
-def _quadratic_form(n, sides: TriangleSides):
+def _quadratic_form(n, a, b, c):
     """y z a^2 + z x b^2 + x y c^2 for n = (x, y, z): every squared distance."""
     x, y, z = n
-    a, b, c = sides.a, sides.b, sides.c
     return y * z * (a * a) + z * x * (b * b) + x * y * (c * c)
 
 
@@ -215,14 +265,14 @@ def circum_power(t: BaryPoint, sides: TriangleSides):
     Uses the cleared-denominator form, so zero weights (points on the
     sidelines) are fine.
     """
-    return _quadratic_form(t.normalized(), sides)
+    return _quadratic_form(t.normalized(), sides.a, sides.b, sides.c)
 
 
 def dist_sq_between(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
     """Squared distance between two finite barycentric points."""
     p1, p2, p3 = p.normalized()
     q1, q2, q3 = q.normalized()
-    return -_quadratic_form((p1 - q1, p2 - q2, p3 - q3), sides)
+    return -_quadratic_form((p1 - q1, p2 - q2, p3 - q3), sides.a, sides.b, sides.c)
 
 
 def lagrange_point_dist_sq(t: BaryPoint, ma_sq, mb_sq, mc_sq, sides: TriangleSides):
@@ -233,7 +283,7 @@ def lagrange_point_dist_sq(t: BaryPoint, ma_sq, mb_sq, mc_sq, sides: TriangleSid
     form of the weighted-average identity, legal for zero weights.
     """
     n = t.normalized()
-    return n[0] * ma_sq + n[1] * mb_sq + n[2] * mc_sq - _quadratic_form(n, sides)
+    return n[0] * ma_sq + n[1] * mb_sq + n[2] * mc_sq - _quadratic_form(n, sides.a, sides.b, sides.c)
 
 
 def bergstrom_bound(t: BaryPoint, sides: TriangleSides):
@@ -246,5 +296,5 @@ def bergstrom_bound(t: BaryPoint, sides: TriangleSides):
     if n1 <= 0 or n2 <= 0 or n3 <= 0:
         raise NonPositiveWeights(
             _message("weights ({!r}, {!r}, {!r}) are not all interior", *t.as_tuple()))
-    s = semiperimeter(sides)
+    s = sides.s
     return 4 * s * s * n1 * n2 * n3
