@@ -24,6 +24,7 @@ disagreement; nothing else calls them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -120,17 +121,23 @@ class _Cleared(NamedTuple):
         middle = Fraction(m, leg_den * sp_sq * sq_sq)  # OP^2 + OQ^2 - PQ^2
         product, product_den = n_p * n_q, leg_den * leg_den * sp_sq * sq_sq
         try:  # int / int is correctly rounded, as float(Fraction) is
-            upper = 2.0 * math.sqrt(max(product / product_den, 0.0))
+            quotient = product / product_den
         except OverflowError as exc:
             raise DegenerateTriangle("OP^2 OQ^2 exceeds the float range") from exc
+        upper = nearest = 2.0 * math.sqrt(max(quotient, 0.0))
+        while quotient >= sys.float_info.min:  # round outward: upper^2 >= 4 OP^2 OQ^2, exactly
+            num, den = upper.as_integer_ratio()
+            if num * num * product_den >= 4 * product * den * den:
+                break
+            upper = math.nextafter(upper, math.inf)
         bounds = BoundTriple(-upper, middle, upper)
         r_sq = abc_sq / leg_den  # float(R^2)
         threshold = ((EPS_ANGLE * EPS_ANGLE) * r_sq) * r_sq
         if threshold == math.inf or kernel._at_most(product, product_den, threshold):
             return AngleReport(None, op_sq, oq_sq, pq_sq, bounds, CLASS_UNDEFINED)
-        if upper == 0.0:
+        if quotient < sys.float_info.min:  # upper could not be rounded outward
             raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")
-        cos_value = _clamp(float(middle) / upper)
+        cos_value = _clamp(float(middle) / nearest)
         # middle^2 == 4 OP^2 OQ^2, both sides times (H lam^2 sigma_P^2 sigma_Q^2)^2
         if m * m != 4 * product * sp_sq * sq_sq:
             classification = CLASS_GENERIC

@@ -1,12 +1,15 @@
 """End-to-end tests of the command line interface."""
 
 import contextlib
+import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,27 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exact_bound_triple(fmt: str, out: str):
+    """(lower, middle, upper) of a `cos` or `bounds` output as exact rationals,
+    or None when the classification is undefined.  The outer bounds are floats,
+    printed so that they read back exactly."""
+    if fmt == "json":
+        data = json.loads(out)
+        fields, classification = data["bounds"], data["classification"]
+    elif fmt == "csv":
+        header, row = list(csv.reader(io.StringIO(out)))
+        data = dict(zip(header, row))
+        fields = {key: data["bounds." + key] for key in ("lower", "middle", "upper")}
+        classification = data["classification"]
+    else:
+        fields = dict(re.findall(r"\b(lower|middle|upper)(?:=|: )(\S+)", out))
+        classification = re.search(r"classification: (\S+)", out).group(1)
+    if classification == "undefined":
+        return None
+    return (Fraction(float(fields["lower"])), Fraction(fields["middle"]),
+            Fraction(float(fields["upper"])))
 
 
 class TestDerive:
@@ -247,6 +271,19 @@ class TestCos:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert json.loads(out)["classification"] == classification
+
+    @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+    def test_exact_bounds_enclose_a_collinear_middle(self, capsys, fmt):
+        # Q is the reflection of the incenter through O, so middle = -2 OI^2 = -upper
+        # exactly; an upper rounded to nearest fell below |middle|.
+        code, out, _ = run_cli(capsys, "cos", "--exact", "--sides", "30,40,24",
+                               "--p", "incenter",
+                               "--q", "raw:102495/128639,-79540/128639,105684/128639",
+                               "--format", fmt)
+        assert code == 0
+        lower, middle, upper = exact_bound_triple(fmt, out)
+        assert middle == Fraction(-24854400, 128639)
+        assert lower <= middle <= upper
 
     def test_raw_vertices_give_side_square(self, capsys):
         _, out, _ = run_cli(capsys, "cos", "--sides", "3,4,5",
@@ -495,3 +532,6 @@ def test_any_geometry_input_ends_in_an_exit_code(argv):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     assert code == 0 or out.getvalue() or "error:" in err.getvalue()
+    if code == 0 and argv[0] in ("cos", "bounds") and "--exact" in argv:
+        triple = exact_bound_triple(argv[argv.index("--format") + 1], out.getvalue())
+        assert triple is None or triple[0] <= triple[1] <= triple[2]
