@@ -79,8 +79,7 @@ def _clamp(value: float) -> float:
 
 def _legs(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
     """(OP^2, OQ^2, PQ^2), the squared legs of the triangle POQ."""
-    r_sq = sides.r_sq
-    return (r_sq - kernel.circum_power(p, sides), r_sq - kernel.circum_power(q, sides),
+    return (sides.r_sq - kernel.circum_power(p, sides), sides.r_sq - kernel.circum_power(q, sides),
             kernel.dist_sq_between(p, q, sides))
 
 
@@ -88,10 +87,9 @@ class _Cleared(NamedTuple):
     """Theorem 3.1 over the integers, for Fraction sides and weights.
 
     Every squared length is homogeneous in the sides and in each point's
-    weights, so it reads the integer contexts of the kernel: the triangle's
-    (A, B, C) = lam (a, b, c), H and (ABC)^2, and each point's coprime
-    weights, with sums sigma.  With F the quadratic form over (A, B, C) (the
-    displacement form of Schindler and Chen, denominators cleared):
+    weights, so it reads the kernel's integer contexts: (A, B, C) = lam (a, b, c),
+    H = 16 area^2 of (A, B, C), (ABC)^2, and each point's coprime weights with
+    sum sigma.  F is the displacement form of Schindler and Chen over (A, B, C):
 
         OP^2 = N_P / (H lam^2 sigma_P^2),   N_P = (ABC)^2 sigma_P^2 - H F(P),
         PQ^2 = -F_D / (lam^2 sigma_P^2 sigma_Q^2),   F_D = F(sigma_Q P - sigma_P Q),
@@ -112,8 +110,8 @@ class _Cleared(NamedTuple):
     m: int
 
     def report(self) -> AngleReport:
-        """cos_angle_at_circumcenter's report, with its guards in the same
-        order; Theorem 3.2's equality case is decided exactly."""
+        """cos_angle_at_circumcenter's report, with its guards in the same order; Theorem
+        3.2's equality case is decided exactly, and upper is rounded outward."""
         abc_sq, leg_den, lam_sq, sp_sq, sq_sq, n_p, n_q, f_d, m = self
         op_sq = Fraction(n_p, leg_den * sp_sq)
         oq_sq = Fraction(n_q, leg_den * sq_sq)
@@ -125,15 +123,15 @@ class _Cleared(NamedTuple):
         except OverflowError as exc:
             raise DegenerateTriangle("OP^2 OQ^2 exceeds the float range") from exc
         upper = nearest = 2.0 * math.sqrt(max(quotient, 0.0))
-        while quotient >= sys.float_info.min:  # round outward: upper^2 >= 4 OP^2 OQ^2, exactly
-            num, den = upper.as_integer_ratio()
-            if num * num * product_den >= 4 * product * den * den:
-                break
+        num, den = upper.as_integer_ratio()  # rounded outward: upper^2 >= 4 OP^2 OQ^2, exactly
+        while quotient >= sys.float_info.min and num * num * product_den < 4 * product * den * den:
             upper = math.nextafter(upper, math.inf)
+            num, den = upper.as_integer_ratio()
         bounds = BoundTriple(-upper, middle, upper)
         r_sq = abc_sq / leg_den  # float(R^2)
         threshold = ((EPS_ANGLE * EPS_ANGLE) * r_sq) * r_sq
-        if threshold == math.inf or kernel._at_most(product, product_den, threshold):
+        t_num, t_den = threshold.as_integer_ratio() if threshold < math.inf else (1, 0)
+        if product * t_den <= t_num * product_den:  # exactly; an infinite threshold is 1/0
             return AngleReport(None, op_sq, oq_sq, pq_sq, bounds, CLASS_UNDEFINED)
         if quotient < sys.float_info.min:  # upper could not be rounded outward
             raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")
@@ -149,19 +147,16 @@ class _Cleared(NamedTuple):
 
 
 def _clear(p: BaryPoint, q: BaryPoint, sides: TriangleSides) -> Optional[_Cleared]:
-    """The integers of _Cleared, or None unless the sides and all six weights are
-    Fractions, which carry integer contexts: int sides, int or float weights compute in floats."""
+    """The integers of _Cleared, or None unless the sides and all six weights are Fractions."""
     if sides.ints is None or p.ints is None or q.ints is None:
         return None
-    h, abc_sq, lam = sides.h, sides.abc_sq, sides.lam
-    p1, p2, p3 = p.ints
-    q1, q2, q3 = q.ints
+    h, abc_sq, lam, ints = sides.h, sides.abc_sq, sides.lam, sides.ints
+    (p1, p2, p3), (q1, q2, q3) = p.ints, q.ints
     sp, sq = p1 + p2 + p3, q1 + q2 + q3
     sp_sq, sq_sq = sp * sp, sq * sq
-    n_p = abc_sq * sp_sq - h * kernel._quadratic_form(p.ints, *sides.ints)
-    n_q = abc_sq * sq_sq - h * kernel._quadratic_form(q.ints, *sides.ints)
-    f_d = kernel._quadratic_form((sq * p1 - sp * q1, sq * p2 - sp * q2, sq * p3 - sp * q3),
-                                 *sides.ints)
+    n_p = abc_sq * sp_sq - h * kernel._quadratic_form(p.ints, *ints)
+    n_q = abc_sq * sq_sq - h * kernel._quadratic_form(q.ints, *ints)
+    f_d = kernel._quadratic_form((sq * p1 - sp * q1, sq * p2 - sp * q2, sq * p3 - sp * q3), *ints)
     m = n_p * sq_sq + n_q * sp_sq + h * f_d
     return _Cleared(abc_sq, h * lam * lam, lam * lam, sp_sq, sq_sq, n_p, n_q, f_d, m)
 
@@ -186,8 +181,8 @@ def cos_angle_at_circumcenter(p: BaryPoint, q: BaryPoint, sides: TriangleSides) 
     A numerically vanishing leg is reported as classification "undefined"
     rather than raised, since degenerate requests are ordinary data here.
     Fraction sides and weights take the integer route of _Cleared, which
-    decides the collinear classifications exactly; other input classifies
-    with the EPS_COLLINEAR threshold.
+    decides the collinear classifications exactly and rounds the outer bounds
+    outward; other input classifies with the EPS_COLLINEAR threshold.
     """
     cleared = _clear(p, q, sides)
     if cleared is not None:
@@ -322,8 +317,7 @@ def exradii_identity_parts(sides: TriangleSides):
     a, b, c = sides.as_tuple()
     s, (ua, ub, uc), area = sides.s, sides.gaps, sides.area2
     lhs = (-(a * a) * ub * uc + (b * b) * s * ub + (c * c) * s * uc) / area
-    rhs = sides.abc * ua / area + 4
-    return lhs, rhs
+    return lhs, sides.abc * ua / area + 4
 
 
 def exradii_identity_residual(sides: TriangleSides):

@@ -7,15 +7,13 @@ arithmetic and works unchanged for ``float`` and ``fractions.Fraction``
 inputs.  Only :func:`derive_elements` takes square roots and therefore always
 produces floats.
 
-Triangles and points compute a context once, at construction, kept out of
-``==``, ``hash`` and ``repr``.  :class:`TriangleSides` caches ``s``, ``gaps``
-(s - a, s - b, s - c), ``abc``, ``area2`` and ``r_sq`` (R^2).  Three
-``Fraction`` sides are validated in, and cached from, the integer context of
-the exact route: ``ints`` (A, B, C) = lam (a, b, c) with ``lam`` the lcm of
-their denominators, ``h`` = H = 16 area^2 of (A, B, C), and ``abc_sq`` =
-(ABC)^2.  A :class:`BaryPoint` of three ``Fraction`` weights keeps proportional
-coprime integer weights in ``ints``.  Other input has no integer context: its
-``ints`` (and ``lam``, ``h``, ``abc_sq``) are None.
+Triangles and points build a context at construction, outside ``==``, ``hash``
+and ``repr``.  :class:`TriangleSides` caches ``s``, ``gaps`` (s - a, s - b, s - c),
+``abc``, ``area2``, ``r_sq`` (R^2) and ``sums`` (b + c, a + c, a + b).  Three
+``Fraction`` sides are validated in, and cached from, the exact route's integers:
+``ints`` (A, B, C) = ``lam`` (a, b, c) with lam the lcm of the denominators,
+``h`` = 16 area^2 of (A, B, C) and ``abc_sq`` = (ABC)^2.  A :class:`BaryPoint` of
+three ``Fraction`` weights keeps coprime integer weights in ``ints`` (else None).
 """
 
 from __future__ import annotations
@@ -57,19 +55,6 @@ def _cleared(x: Fraction, y: Fraction, z: Fraction):
     return (x.numerator * (lcm // dx), y.numerator * (lcm // dy), z.numerator * (lcm // dz)), lcm
 
 
-def _at_most(numerator: int, denominator: int, bound: float) -> bool:
-    """numerator / denominator <= bound, exactly, for a finite bound and a
-    positive denominator."""
-    bound_num, bound_den = bound.as_integer_ratio()
-    return numerator * bound_den <= bound_num * denominator
-
-
-def _cache(obj, **values):
-    """Set attributes of a frozen instance, as its generated __init__ does."""
-    for item in values.items():
-        object.__setattr__(obj, *item)
-
-
 @dataclass(frozen=True)
 class TriangleSides:
     """Side lengths a = BC, b = CA, c = AB of a strict triangle, and their context."""
@@ -87,22 +72,26 @@ class TriangleSides:
         if min(x, y, z) <= 0:
             raise DegenerateTriangle(_message("non-positive side in ({}, {}, {})", a, b, c))
         perimeter = x + y + z
-        twice_gaps = (y + z - x, z + x - y, x + y - z)  # 2 lam (s - a, s - b, s - c)
-        try:  # gap <= fl(EPS_TRIANGLE fl(perimeter)); int / int rounds as float(Fraction)
-            bound = EPS_TRIANGLE * (perimeter / lam)
+        twice = (y + z - x, z + x - y, x + y - z)  # 2 lam (s - a, s - b, s - c)
+        gap = Fraction(min(twice), lam) if exact else min(twice)
+        try:  # an int / int perimeter rounds as float(Fraction) does
+            thin = gap <= EPS_TRIANGLE * (perimeter / lam)
         except OverflowError as exc:  # an exact perimeter past the float range
             raise DegenerateTriangle("sides exceed the float range") from exc
-        if _at_most(min(twice_gaps), lam, bound) if exact else min(twice_gaps) <= bound:
+        if thin:
             raise DegenerateTriangle(
                 _message("triangle inequality fails for ({}, {}, {})", a, b, c))
         if exact:  # the float path's names first, in its order, so instances share keys
-            h = perimeter * twice_gaps[0] * twice_gaps[1] * twice_gaps[2]  # Heron
+            h = perimeter * twice[0] * twice[1] * twice[2]  # Heron
             xyz, lam_sq, half = x * y * z, lam * lam, 2 * lam
-            return _cache(self, s=Fraction(perimeter, half),
-                          gaps=tuple(Fraction(gap, half) for gap in twice_gaps),
-                          abc=Fraction(xyz, lam_sq * lam), area2=Fraction(h, 16 * lam_sq * lam_sq),
-                          r_sq=Fraction(xyz * xyz, h * lam_sq), ints=(x, y, z), lam=lam, h=h,
-                          abc_sq=xyz * xyz)
+            for item in dict(  # set as the generated __init__ sets the fields
+                    s=Fraction(perimeter, half), gaps=tuple(Fraction(g, half) for g in twice),
+                    abc=Fraction(xyz, lam_sq * lam), area2=Fraction(h, 16 * lam_sq * lam_sq),
+                    r_sq=Fraction(xyz ** 2, h * lam_sq),
+                    sums=(Fraction(y + z, lam), Fraction(x + z, lam), Fraction(x + y, lam)),
+                    ints=(x, y, z), lam=lam, h=h, abc_sq=xyz ** 2).items():
+                object.__setattr__(self, *item)
+            return
         s = perimeter / 2
         gaps = (s - a, s - b, s - c)
         abc = a * b * c
@@ -115,7 +104,13 @@ class TriangleSides:
             r_sq = abc * abc / (16 * area2)
         except OverflowError as exc:  # int sides past the float range
             raise DegenerateTriangle("sides exceed the float range") from exc
-        _cache(self, s=s, gaps=gaps, abc=abc, area2=area2, r_sq=r_sq)
+        setattr_ = object.__setattr__  # five calls cost less than a loop
+        setattr_(self, "s", s)
+        setattr_(self, "gaps", gaps)
+        setattr_(self, "abc", abc)
+        setattr_(self, "area2", area2)
+        setattr_(self, "r_sq", r_sq)
+        setattr_(self, "sums", (b + c, a + c, a + b))
 
     def as_tuple(self):
         return (self.a, self.b, self.c)
@@ -134,8 +129,9 @@ class BaryPoint:
     def __post_init__(self):
         t1, t2, t3 = self.t1, self.t2, self.t3
         exact = Fraction is type(t1) is type(t2) is type(t3)
-        (x, y, z), _ = _cleared(t1, t2, t3) if exact else ((t1, t2, t3), 1)
-        total = x + y + z
+        if exact:
+            (x, y, z), _ = _cleared(t1, t2, t3)
+        total = x + y + z if exact else t1 + t2 + t3
         if total == 0:
             raise PointAtInfinity(_message("weights ({!r}, {!r}, {!r}) sum to zero", t1, t2, t3))
         if not abs(total) < math.inf:
@@ -143,7 +139,7 @@ class BaryPoint:
                 "weights ({!r}, {!r}, {!r}) overflow: their sum is not finite", t1, t2, t3))
         if exact:
             g = math.gcd(x, y, z)
-            _cache(self, ints=(x // g, y // g, z // g))
+            object.__setattr__(self, "ints", (x // g, y // g, z // g))
 
     def as_tuple(self):
         return (self.t1, self.t2, self.t3)
@@ -151,9 +147,8 @@ class BaryPoint:
     def normalized(self):
         """Coordinates divided by their sum; invariant under rescaling."""
         if self.ints is not None:
-            x, y, z = self.ints
-            total = x + y + z
-            return (Fraction(x, total), Fraction(y, total), Fraction(z, total))
+            total = sum(self.ints)
+            return tuple(Fraction(t, total) for t in self.ints)
         total = self.t1 + self.t2 + self.t3
         return (self.t1 / total, self.t2 / total, self.t3 / total)
 
@@ -283,7 +278,7 @@ def lagrange_point_dist_sq(t: BaryPoint, ma_sq, mb_sq, mc_sq, sides: TriangleSid
     form of the weighted-average identity, legal for zero weights.
     """
     n = t.normalized()
-    return n[0] * ma_sq + n[1] * mb_sq + n[2] * mc_sq - _quadratic_form(n, sides.a, sides.b, sides.c)
+    return n[0] * ma_sq + n[1] * mb_sq + n[2] * mc_sq - _quadratic_form(n, *sides.as_tuple())
 
 
 def bergstrom_bound(t: BaryPoint, sides: TriangleSides):

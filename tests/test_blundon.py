@@ -339,6 +339,16 @@ class TestFundamentalInequality:
     def test_exact_slack_right_triangle(self):
         assert blundon.fundamental_slack_sq(EXACT_RIGHT) == Fraction(1)
 
+    def test_exact_slack_decays_like_d_to_the_sixth(self):
+        # sides (1, 1 + d/2, 1 + d) with d = 10^-k approach the equilateral limit
+        def slack(k):
+            d = Fraction(1, 10 ** k)
+            return blundon.fundamental_slack_sq(TriangleSides(Fraction(1), 1 + d / 2, 1 + d))
+
+        slacks = [slack(k) for k in range(3, 14)]
+        for k, (wider, narrower) in enumerate(zip(slacks, slacks[1:]), start=3):
+            assert abs(math.log10(wider / narrower) - 6) <= 0.004, k
+
     def test_exact_slack_nonnegative(self):
         rng = random.Random(31)
         for _ in range(50):

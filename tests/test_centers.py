@@ -223,6 +223,63 @@ class TestResolve:
         assert point.as_tuple() == (Fraction(9), Fraction(16), Fraction(25))
 
 
+EXACT_SIDES = [
+    TriangleSides(Fraction(3), Fraction(4), Fraction(5)),
+    TriangleSides(Fraction(7, 3), Fraction(5, 2), Fraction(13, 6)),
+    TriangleSides(Fraction(2, 3), Fraction(1000001, 1500000), Fraction(1, 1)),
+]
+
+
+def _documented_weights(spec: CenterSpec, sides: TriangleSides) -> tuple:
+    """Each kind's weights written from its definition, in plain Fraction arithmetic."""
+    a, b, c = sides.as_tuple()
+    s = (a + b + c) / 2
+    if spec.kind == "cevian":
+        k, l, m = spec.params
+        return (a**k * (s - a) ** l * (b + c) ** m, b**k * (s - b) ** l * (a + c) ** m,
+                c**k * (s - c) ** l * (a + b) ** m)
+    vertex_weights = {
+        "excenter": {"A": (-a, b, c), "B": (a, -b, c), "C": (a, b, -c)},
+        "adjnagel": {"A": (s, c - s, b - s), "B": (c - s, s, a - s), "C": (b - s, a - s, s)},
+    }
+    if spec.kind in vertex_weights:
+        return vertex_weights[spec.kind][spec.vertex]
+    return {"incenter": (a, b, c), "centroid": (Fraction(1),) * 3, "nagel": (s - a, s - b, s - c),
+            "lemoine": (a * a, b * b, c * c), "raw": spec.params}[spec.kind]
+
+
+class TestExactResolve:
+    SPECS = [CenterSpec(kind) for kind in ("incenter", "centroid", "nagel", "lemoine")] + [
+        CenterSpec(kind, vertex=v) for kind in ("excenter", "adjnagel") for v in "ABC"
+    ] + [CenterSpec("raw", params=(Fraction(-2, 7), Fraction(5, 3), Fraction(1)))]
+
+    @pytest.mark.parametrize("sides", EXACT_SIDES)
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: f"{spec.kind}{spec.vertex or ''}")
+    def test_every_kind_equals_its_formula(self, spec, sides):
+        self._check(spec, sides)
+
+    @pytest.mark.parametrize("sides", EXACT_SIDES)
+    def test_cevian_ranks_equal_their_formula(self, sides):
+        for k in range(-3, 4):
+            for l in range(-3, 4):
+                for m in range(-3, 4):
+                    self._check(CenterSpec("cevian", params=(k, l, m)), sides)
+
+    @staticmethod
+    def _check(spec, sides):
+        expected = _documented_weights(spec, sides)
+        point = resolve(spec, sides)
+        assert point.as_tuple() == expected
+        assert all(type(v) is Fraction for v in point.as_tuple())
+        total = sum(expected)
+        assert point.normalized() == tuple(v / total for v in expected)
+        assert point.ints is not None
+
+    def test_huge_exact_rank_is_refused(self):
+        with pytest.raises(GeometryError, match="digit limit"):
+            resolve(CenterSpec("cevian", params=(Fraction(10**4), 0, 0)), EXACT_SIDES[1])
+
+
 class TestReader:
     def test_numbers_in_both_modes(self):
         assert centers.parse_number(" 1.5 ") == 1.5

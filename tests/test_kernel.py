@@ -4,7 +4,9 @@ Numeric fixtures for the (3, 4, 5) triangle were frozen from the Cartesian
 oracle: circumcenter (1.5, 2), incenter (2, 1), squared circumradius 6.25.
 """
 
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -312,3 +314,134 @@ class TestRationalBackend:
             )
             approx = kernel.circum_power(BaryPoint(1.0, 2.0, 3.0), f_sides)
             assert float(exact) == pytest.approx(approx, rel=1e-12)
+
+
+def _old_rule(a, b, c):
+    """The side check as written before the integer context, in Fraction and
+    float arithmetic: None when the sides pass, else the start of the message."""
+    if min(a, b, c) <= 0:
+        return "non-positive side"
+    perimeter = a + b + c
+    gap = min(a + b - c, b + c - a, c + a - b)
+    try:
+        thin = gap <= kernel.EPS_TRIANGLE * perimeter
+    except OverflowError:
+        return "sides exceed the float range"
+    return "triangle inequality fails" if thin else None
+
+
+def _boundary_sides(scale: Fraction) -> tuple:
+    """Sides of perimeter 2 whose smallest gap is fl(EPS_TRIANGLE * 2.0) times scale."""
+    gap = Fraction(kernel.EPS_TRIANGLE * 2.0) * scale
+    return ((1 + gap / 2) / 2, (1 + gap / 2) / 2, 1 - gap / 2)
+
+
+EXACT = TriangleSides(Fraction(7, 3), Fraction(5, 2), Fraction(13, 6))
+
+
+class TestContexts:
+    @pytest.mark.parametrize("sides", [RIGHT, EXACT, TriangleSides(3, 4, 5)])
+    def test_context_stays_out_of_eq_hash_repr(self, sides):
+        a, b, c = sides.as_tuple()
+        assert [f.name for f in dataclasses.fields(sides)] == ["a", "b", "c"]
+        assert repr(sides) == f"TriangleSides(a={a!r}, b={b!r}, c={c!r})"
+        twin = TriangleSides(a, b, c)
+        assert twin == sides and hash(twin) == hash(sides) == hash((a, b, c))
+        assert dataclasses.astuple(sides) == (a, b, c)
+
+    @pytest.mark.parametrize("point", [INCENTER, BaryPoint(Fraction(2, 3), Fraction(-1), 4)])
+    def test_point_context_stays_out_of_eq_hash_repr(self, point):
+        t1, t2, t3 = point.as_tuple()
+        assert [f.name for f in dataclasses.fields(point)] == ["t1", "t2", "t3"]
+        assert repr(point) == f"BaryPoint(t1={t1!r}, t2={t2!r}, t3={t3!r})"
+        assert BaryPoint(t1, t2, t3) == point and hash(BaryPoint(t1, t2, t3)) == hash(point)
+
+    @pytest.mark.parametrize("obj", [RIGHT, EXACT, INCENTER,
+                                     BaryPoint(Fraction(3), Fraction(-4, 7), Fraction(5))])
+    def test_pickle_round_trip_keeps_the_context(self, obj):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj and repr(copy) == repr(obj)
+        assert vars(copy) == vars(obj)
+
+    def test_replace_rebuilds_the_context(self):
+        changed = dataclasses.replace(EXACT, c=Fraction(3))
+        fresh = TriangleSides(EXACT.a, EXACT.b, Fraction(3))
+        assert changed == fresh and vars(changed) == vars(fresh)
+        point = BaryPoint(Fraction(1), Fraction(2), Fraction(3))
+        moved = dataclasses.replace(point, t3=Fraction(6))
+        assert moved.ints == (1, 2, 6)
+        assert dataclasses.replace(RIGHT, a=4.0).r_sq == TriangleSides(4.0, 4.0, 5.0).r_sq
+
+    @pytest.mark.parametrize("sides", [RIGHT, TriangleSides(0.7, 0.6, 0.7), TriangleSides(3, 4, 5),
+                                       TriangleSides(Fraction(3), 4, 5)])
+    def test_non_exact_context_uses_the_plain_expressions(self, sides):
+        a, b, c = sides.as_tuple()
+        s = (a + b + c) / 2
+        area2 = s * (s - a) * (s - b) * (s - c)
+        abc = a * b * c
+        assert (sides.s, sides.gaps) == (s, (s - a, s - b, s - c))
+        assert (sides.abc, sides.area2) == (abc, area2)
+        assert sides.r_sq == abc * abc / (16 * area2)
+        assert sides.sums == (b + c, a + c, a + b)
+        assert sides.ints is sides.lam is sides.h is sides.abc_sq is None
+
+    def test_exact_context_equals_fraction_evaluation(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            raw = random_sides(rng)
+            sides = TriangleSides(*(Fraction(v).limit_denominator(10**5) for v in raw.as_tuple()))
+            a, b, c = sides.as_tuple()
+            s = (a + b + c) / 2
+            area2 = s * (s - a) * (s - b) * (s - c)
+            assert (sides.s, sides.gaps, sides.abc) == (s, (s - a, s - b, s - c), a * b * c)
+            assert sides.area2 == area2 and sides.r_sq == (a * b * c) ** 2 / (16 * area2)
+            assert sides.sums == (b + c, a + c, a + b)
+            lam = sides.lam
+            assert sides.ints == (a * lam, b * lam, c * lam)
+            assert all(type(v) is int for v in sides.ints)
+            assert sides.h == 16 * area2 * lam**4
+            assert sides.abc_sq == (a * b * c * lam**3) ** 2
+            assert all(type(v) is Fraction
+                       for v in (sides.s, *sides.gaps, sides.abc, sides.area2, sides.r_sq, *sides.sums))
+
+    @pytest.mark.parametrize("sides", [
+        _boundary_sides(Fraction(1)),  # gap exactly at the bound: rejected
+        _boundary_sides(1 + Fraction(1, 10**30)),
+        _boundary_sides(1 - Fraction(1, 10**30)),
+        (Fraction(0), Fraction(1), Fraction(1)),
+        (Fraction(-1, 3), Fraction(1), Fraction(1)),
+        (Fraction(1), Fraction(2), Fraction(3)),
+        (Fraction(10**308), Fraction(10**308), Fraction(10**308)),  # perimeter past the float range
+        (Fraction(5 * 10**307), Fraction(5 * 10**307), Fraction(5 * 10**307)),
+        (Fraction(1, 10**400), Fraction(1, 10**400), Fraction(1, 10**400)),
+        (Fraction(3), Fraction(4), Fraction(5)),
+    ])
+    def test_integer_validation_keeps_the_rule(self, sides):
+        expected = _old_rule(*sides)
+        if expected is None:
+            TriangleSides(*sides)
+        else:
+            with pytest.raises(DegenerateTriangle, match=expected):
+                TriangleSides(*sides)
+
+    def test_boundary_cases_split_as_expected(self):
+        assert _old_rule(*_boundary_sides(Fraction(1))) == "triangle inequality fails"
+        assert _old_rule(*_boundary_sides(1 + Fraction(1, 10**30))) is None
+
+    def test_exact_point_keeps_coprime_integer_weights(self):
+        point = BaryPoint(Fraction(2, 3), Fraction(-4, 9), Fraction(8, 3))
+        assert point.ints == (3, -2, 12)
+        assert point.normalized() == (Fraction(3, 13), Fraction(-2, 13), Fraction(12, 13))
+        assert all(type(v) is Fraction for v in point.normalized())
+        assert BaryPoint(Fraction(-2), Fraction(-4), Fraction(12, 1)).ints == (-1, -2, 6)
+        assert BaryPoint(1, 2, 3).ints is None and BaryPoint(Fraction(1), 2, 3).ints is None
+
+    @pytest.mark.parametrize("weights", [
+        (Fraction(1, 3), Fraction(-1, 3), Fraction(0)),
+        (Fraction(2, 7), Fraction(5, 14), Fraction(-9, 14)),
+    ])
+    def test_zero_sum_fraction_weights_keep_the_message(self, weights):
+        message = "weights ({!r}, {!r}, {!r}) sum to zero".format(*weights)
+        with pytest.raises(PointAtInfinity) as info:
+            BaryPoint(*weights)
+        assert str(info.value) == message
