@@ -104,7 +104,7 @@ class TriangleSides:
             r_sq = abc * abc / (16 * area2)
         except OverflowError as exc:  # int sides past the float range
             raise DegenerateTriangle("sides exceed the float range") from exc
-        setattr_ = object.__setattr__  # five calls cost less than a loop
+        setattr_ = object.__setattr__  # direct calls cost less than a loop
         setattr_(self, "s", s)
         setattr_(self, "gaps", gaps)
         setattr_(self, "abc", abc)
