@@ -70,11 +70,18 @@ class AngleReport:
     pq_sq: object
     bounds: BoundTriple
     classification: str
-    oracle_residual: Optional[float] = None
 
 
 def _clamp(value: float) -> float:
     return max(-1.0, min(1.0, value))
+
+
+def _float_r_sq(sides: TriangleSides) -> float:
+    """float(R^2); DegenerateTriangle when an exact R^2 exceeds the float range."""
+    try:
+        return float(sides.r_sq)
+    except OverflowError as exc:
+        raise DegenerateTriangle("R^2 exceeds the float range") from exc
 
 
 def _legs(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
@@ -128,7 +135,10 @@ class _Cleared(NamedTuple):
             upper = math.nextafter(upper, math.inf)
             num, den = upper.as_integer_ratio()
         bounds = BoundTriple(-upper, middle, upper)
-        r_sq = abc_sq / leg_den  # float(R^2)
+        try:
+            r_sq = abc_sq / leg_den  # float(R^2)
+        except OverflowError:  # then every finite OP^2 OQ^2 lies below the threshold
+            r_sq = math.inf
         threshold = ((EPS_ANGLE * EPS_ANGLE) * r_sq) * r_sq
         t_num, t_den = threshold.as_integer_ratio() if threshold < math.inf else (1, 0)
         if product * t_den <= t_num * product_den:  # exactly; an infinite threshold is 1/0
@@ -248,6 +258,8 @@ def fundamental_residual(elements: TriangleElements) -> float:
     Value is 2 (R - 2r) sqrt(R^2 - 2Rr) - |s^2 - 2R^2 - 10Rr + r^2|, which is
     exactly (1 - |cos ION|) times the positive denominator of the closed form.
     """
+    # Restates classical_cos_parts in R and r on purpose: the element-level
+    # cross-check of fundamental_slack_sq.
     s = elements.semiperimeter
     big_r, r = elements.circumradius, elements.inradius
     gap = big_r - 2.0 * r
@@ -292,6 +304,8 @@ def excenter_adjoint_cos(vertex: str, elements: TriangleElements) -> float:
 
 def dual_bound_residual(vertex: str, elements: TriangleElements) -> float:
     """Slack of the upper dual bound on (a^2 + b^2 + c^2) / 4; nonnegative."""
+    # Restates dual_cos_parts in R and r_v on purpose: the element-level
+    # cross-check of dual_slack_sq.
     sides = elements.sides
     big_r = elements.circumradius
     r_v = getattr(elements, "exradius_" + vertex.lower())
@@ -370,7 +384,8 @@ def rank_pair_cos(k1, k2, sides: TriangleSides) -> float:
     put every rank point there).
     """
     numerator, radicand = rank_pair_parts(k1, k2, sides)
-    if radicand <= 4 * (EPS_ANGLE * EPS_ANGLE) * sides.r_sq * sides.r_sq:
+    r_sq = _float_r_sq(sides)
+    if radicand <= 4 * (EPS_ANGLE * EPS_ANGLE) * r_sq * r_sq:
         raise UndefinedAngle(f"rank ({k1}, {k2}) legs vanish at the circumcenter")
     return _clamp(float(numerator) / math.sqrt(float(radicand)))
 
@@ -467,7 +482,7 @@ def triple_cevian_cos(p1: BaryPoint, p2: BaryPoint, p3: BaryPoint, sides: Triang
         numerator = product = math.inf
     if not (abs(product) < math.inf and abs(numerator) < math.inf):  # catches a non-finite leg too
         raise DegenerateTriangle("a squared distance between the points exceeds the float range")
-    if min(d12, d23, d31) <= EPS_DISTINCT * sides.r_sq:
+    if min(d12, d23, d31) <= EPS_DISTINCT * _float_r_sq(sides):
         raise DegenerateVertexAngle("two of the three points coincide")
     return _clamp(numerator / (2.0 * math.sqrt(product)))
 

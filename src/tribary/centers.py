@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import CenterSpecError, DegenerateTriangle, GeometryError, InputError
-from .kernel import BaryPoint, TriangleSides, pow_keep_exact
+from .errors import CenterSpecError, GeometryError, InputError
+from .kernel import BaryPoint, TriangleSides, float_sides, pow_keep_exact
 
 VERTICES = ("A", "B", "C")
 
@@ -215,14 +215,6 @@ def parse_sides(cells, exact: bool = False) -> TriangleSides:
     if exact:
         float_sides(values)
     return TriangleSides(*values)
-
-
-def float_sides(values) -> TriangleSides:
-    """Float image of side values, validated like float input."""
-    try:
-        return TriangleSides(*(float(v) for v in values))
-    except OverflowError as exc:
-        raise DegenerateTriangle("side values exceed the float range") from exc
 
 
 def resolve(spec: CenterSpec, sides: TriangleSides) -> BaryPoint:

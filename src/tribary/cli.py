@@ -18,20 +18,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 from . import oracle
 from .blundon import CLASS_UNDEFINED, cos_angle_at_circumcenter, triple_cevian_cos
-from .centers import float_sides, parse_center_spec, parse_number, parse_sides, resolve
+from .centers import parse_center_spec, parse_number, parse_sides, resolve
 from .errors import GeometryError, InputError
-from .kernel import (
-    area_sq,
-    circumradius_sq,
-    derive_elements,
-    dist_sq_between,
-    euler_terms,
-    semiperimeter,
-)
+from .kernel import BaryPoint, derive_elements, dist_sq_between, euler_terms
 from .serialize import csv_cell, dumps, format_number
 
 FORMATS = ("human", "json", "csv")
@@ -114,10 +106,9 @@ def _triple_str(values) -> str:
 
 
 def _derive(args, sides, specs, points):
-    sides_float = float_sides(sides.as_tuple())
-    elements = derive_elements(sides_float)
+    elements = derive_elements(sides)
     data = {
-        "sides": list(sides_float.as_tuple()),
+        "sides": [float(v) for v in sides.as_tuple()],
         "semiperimeter": elements.semiperimeter,
         "area": elements.area,
         "circumradius": elements.circumradius,
@@ -140,9 +131,9 @@ def _derive(args, sides, specs, points):
         ex_a, ex_b, ex_c = (euler_terms(sides, side)[3] for side in sides.as_tuple())
         exact = data["exact"] = {
             "sides": list(sides.as_tuple()),
-            "semiperimeter": semiperimeter(sides),
-            "area_sq": area_sq(sides),
-            "circumradius_sq": circumradius_sq(sides),
+            "semiperimeter": sides.s,
+            "area_sq": sides.area2,
+            "circumradius_sq": sides.r_sq,
             "inradius_sq": euler_terms(sides)[3],
             "exradius_a_sq": ex_a,
             "exradius_b_sq": ex_b,
@@ -182,33 +173,27 @@ def _center(args, sides, specs, points):
     return data, lines, 0
 
 
-def _oracle_residual(args, specs, points, sides, cos_value):
+def _oracle_residual(points, sides, cos_value):
     """cos_value minus the Cartesian oracle's cosine, in floats; None if
-    undefined, or in exact mode if a point has no float image."""
+    undefined, or if a point has no float image."""
     if cos_value is None:
         return None
-    if args.exact:
-        sides = float_sides(sides.as_tuple())
-        try:
-            points = [resolve(replace(spec, params=tuple(float(v) for v in spec.params)), sides)
-                      for spec in specs]
-        except (OverflowError, GeometryError):
-            return None
-    placement = oracle.place_triangle(*sides.as_tuple())
+    placement = oracle.place_triangle(*(float(v) for v in sides.as_tuple()))
     center = oracle.circumcenter_xy(placement)
     try:
+        images = [BaryPoint(*(float(t) for t in point.as_tuple())) for point in points]
         reference = oracle.angle_cos(
             center,
-            *(oracle.barycentric_to_cartesian(point.as_tuple(), placement) for point in points),
+            *(oracle.barycentric_to_cartesian(image.as_tuple(), placement) for image in images),
         )
-    except GeometryError:
+    except (OverflowError, GeometryError):
         return None
     return cos_value - reference
 
 
 def _cos(args, sides, specs, points):
     report = cos_angle_at_circumcenter(*points, sides)
-    residual = _oracle_residual(args, specs, points, sides, report.cos_value)
+    residual = _oracle_residual(points, sides, report.cos_value)
     bounds = report.bounds
     data = {
         "cos": report.cos_value,

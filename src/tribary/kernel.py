@@ -5,7 +5,8 @@ distances, the circumcircle power) are rational functions of the side lengths,
 so every function that stays at the squared level is written once with plain
 arithmetic and works unchanged for ``float`` and ``fractions.Fraction``
 inputs.  Only :func:`derive_elements` takes square roots and therefore always
-produces floats.
+produces floats: it reads the float context, the triangle's own for float sides,
+else that of :func:`float_sides`, the validated float image of any sides.
 
 Triangles and points build a context at construction, outside ``==``, ``hash``
 and ``repr``.  :class:`TriangleSides` caches ``s``, ``gaps`` (s - a, s - b, s - c),
@@ -81,36 +82,37 @@ class TriangleSides:
         if thin:
             raise DegenerateTriangle(
                 _message("triangle inequality fails for ({}, {}, {})", a, b, c))
-        if exact:  # the float path's names first, in its order, so instances share keys
+        if exact:
             h = perimeter * twice[0] * twice[1] * twice[2]  # Heron
             xyz, lam_sq, half = x * y * z, lam * lam, 2 * lam
-            for item in dict(  # set as the generated __init__ sets the fields
-                    s=Fraction(perimeter, half), gaps=tuple(Fraction(g, half) for g in twice),
-                    abc=Fraction(xyz, lam_sq * lam), area2=Fraction(h, 16 * lam_sq * lam_sq),
-                    r_sq=Fraction(xyz ** 2, h * lam_sq),
-                    sums=(Fraction(y + z, lam), Fraction(x + z, lam), Fraction(x + y, lam)),
-                    ints=(x, y, z), lam=lam, h=h, abc_sq=xyz ** 2).items():
-                object.__setattr__(self, *item)
-            return
-        s = perimeter / 2
-        gaps = (s - a, s - b, s - c)
-        abc = a * b * c
-        area2 = s * gaps[0] * gaps[1] * gaps[2]
-        if isinstance(perimeter, float):
-            if not (0 < abc * abc < math.inf and 0 < 16 * area2 < math.inf):
-                raise DegenerateTriangle(
-                    f"sides ({a}, {b}, {c}) leave abc^2 or 16 area^2 outside the float range")
-        try:
-            r_sq = abc * abc / (16 * area2)
-        except OverflowError as exc:  # int sides past the float range
-            raise DegenerateTriangle("sides exceed the float range") from exc
-        setattr_ = object.__setattr__  # direct calls cost less than a loop
+            s, gaps = Fraction(perimeter, half), tuple(Fraction(g, half) for g in twice)
+            abc, area2 = Fraction(xyz, lam_sq * lam), Fraction(h, 16 * lam_sq * lam_sq)
+            r_sq = Fraction(xyz ** 2, h * lam_sq)
+            sums = (Fraction(y + z, lam), Fraction(x + z, lam), Fraction(x + y, lam))
+        else:
+            s = perimeter / 2
+            gaps = (s - a, s - b, s - c)
+            abc = a * b * c
+            area2 = s * gaps[0] * gaps[1] * gaps[2]
+            if isinstance(perimeter, float):
+                if not (0 < abc * abc < math.inf and 0 < 16 * area2 < math.inf):
+                    raise DegenerateTriangle(
+                        f"sides ({a}, {b}, {c}) leave abc^2 or 16 area^2 outside the float range")
+            try:
+                r_sq = abc * abc / (16 * area2)
+            except OverflowError as exc:  # int sides past the float range
+                raise DegenerateTriangle("sides exceed the float range") from exc
+            sums = (b + c, a + c, a + b)
+        setattr_ = object.__setattr__  # a loop costs more; vars(self) slows every read
         setattr_(self, "s", s)
         setattr_(self, "gaps", gaps)
         setattr_(self, "abc", abc)
         setattr_(self, "area2", area2)
         setattr_(self, "r_sq", r_sq)
-        setattr_(self, "sums", (b + c, a + c, a + b))
+        setattr_(self, "sums", sums)
+        if exact:  # after the shared names, in their order, so instances share keys
+            for item in zip(("ints", "lam", "h", "abc_sq"), ((x, y, z), lam, h, xyz ** 2)):
+                setattr_(self, *item)
 
     def as_tuple(self):
         return (self.a, self.b, self.c)
@@ -172,17 +174,8 @@ class TriangleElements:
         return gap <= EPS_EQUILATERAL * self.circumradius
 
 
-def semiperimeter(sides: TriangleSides):
-    return sides.s
-
-
 def side_squares(sides: TriangleSides):
     return (sides.a * sides.a, sides.b * sides.b, sides.c * sides.c)
-
-
-def area_sq(sides: TriangleSides):
-    """Squared area by Heron's formula, s (s - a) (s - b) (s - c); rational in the sides."""
-    return sides.area2
 
 
 def circumradius_sq(sides: TriangleSides):
@@ -231,20 +224,31 @@ def power_sum(sides: TriangleSides, exponent):
     )
 
 
+def float_sides(values) -> TriangleSides:
+    """Float image of side values, validated like float input."""
+    try:
+        return TriangleSides(*(float(v) for v in values))
+    except OverflowError as exc:
+        raise DegenerateTriangle("side values exceed the float range") from exc
+
+
 def derive_elements(sides: TriangleSides) -> TriangleElements:
-    """Evaluate semiperimeter, area, circumradius, inradius, and exradii."""
-    a, b, c = float(sides.a), float(sides.b), float(sides.c)
-    s = (a + b + c) / 2.0
-    area = math.sqrt(s * (s - a) * (s - b) * (s - c))
+    """Semiperimeter, area, circumradius, inradius and exradii: the square roots
+    of the float context, the triangle's own for float sides, else its float
+    image's (DegenerateTriangle when the sides have no valid float image)."""
+    a, b, c = sides.as_tuple()
+    context = sides if float is type(a) is type(b) is type(c) else float_sides((a, b, c))
+    s, (gap_a, gap_b, gap_c) = context.s, context.gaps
+    area = math.sqrt(context.area2)
     return TriangleElements(
         sides=sides,
         semiperimeter=s,
         area=area,
-        circumradius=a * b * c / (4.0 * area),
+        circumradius=context.abc / (4.0 * area),
         inradius=area / s,
-        exradius_a=area / (s - a),
-        exradius_b=area / (s - b),
-        exradius_c=area / (s - c),
+        exradius_a=area / gap_a,
+        exradius_b=area / gap_b,
+        exradius_c=area / gap_c,
     )
 
 

@@ -76,7 +76,6 @@ from .centers import (
     cevian_rank,
     cevian_triangle,
     excenter,
-    float_sides,
     incenter,
     lemoine_point,
     nagel_point,
@@ -92,6 +91,7 @@ from .kernel import (
     circumradius_sq,
     derive_elements,
     dist_sq_between,
+    float_sides,
     lagrange_point_dist_sq,
     power_sum,
     side_squares,

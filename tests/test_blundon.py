@@ -61,7 +61,6 @@ class TestAngleReport:
         assert report.bounds.upper == pytest.approx(2.0 * math.sqrt(0.3125))
         assert report.bounds.lower == pytest.approx(-report.bounds.upper)
         assert report.classification == blundon.CLASS_GENERIC
-        assert report.oracle_residual is None
 
     def test_same_point_is_collinear_same_side(self):
         q = BaryPoint(6.0, 8.0, 10.0)
@@ -255,6 +254,29 @@ class TestIntegerRoute:
         monkeypatch.setattr(blundon, "_clear", lambda *args: None)
         assert repr(routed) == repr(blundon.cos_angle_at_circumcenter(p, q, sides))
         assert repr(parts) == repr(blundon.general_cos_parts(p, q, sides))
+
+
+HUGE_EQUILATERAL = TriangleSides(*[Fraction(10**200)] * 3)
+HUGE_SCALENE = TriangleSides(Fraction(3 * 10**200), Fraction(4 * 10**200), Fraction(6 * 10**200))
+
+
+@pytest.mark.parametrize("sides, call, outcome", [
+    (HUGE_EQUILATERAL, lambda s: blundon.cos_angle_at_circumcenter(
+        centers.incenter(s), centers.nagel_point(s), s).classification, blundon.CLASS_UNDEFINED),
+    (HUGE_EQUILATERAL, lambda s: blundon.blundon_bounds(
+        centers.incenter(s), centers.nagel_point(s), s), (0.0, 0, 0.0)),
+    (HUGE_SCALENE, lambda s: blundon.rank_pair_cos(0, 1, s), DegenerateTriangle),
+    (HUGE_EQUILATERAL, lambda s: blundon.triple_cevian_cos(
+        centers.incenter(s), centers.centroid(s), centers.lemoine_point(s), s), DegenerateTriangle),
+], ids=["cos_angle_at_circumcenter", "blundon_bounds", "rank_pair_cos", "triple_cevian_cos"])
+def test_exact_r_sq_past_the_float_range(sides, call, outcome):
+    """R^2 of these exact triangles is about 1e400: an R^2 that cannot be a float makes
+    the vanishing-leg threshold infinite, or else raises DegenerateTriangle."""
+    if outcome is DegenerateTriangle:
+        with pytest.raises(DegenerateTriangle, match=r"R\^2 exceeds the float range"):
+            call(sides)
+    else:
+        assert call(sides) == outcome
 
 
 class TestClassicalClosedForm:

@@ -27,10 +27,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def exact_bound_triple(fmt: str, out: str):
+def exact_bound_triple(fmt: str, out: str, keep_undefined: bool = False):
     """(lower, middle, upper) of a `cos` or `bounds` output as exact rationals,
-    or None when the classification is undefined.  The outer bounds are floats,
-    printed so that they read back exactly."""
+    or None when the classification is undefined, unless keep_undefined.  The
+    outer bounds are floats, printed so that they read back exactly."""
     if fmt == "json":
         data = json.loads(out)
         fields, classification = data["bounds"], data["classification"]
@@ -42,7 +42,7 @@ def exact_bound_triple(fmt: str, out: str):
     else:
         fields = dict(re.findall(r"\b(lower|middle|upper)(?:=|: )(\S+)", out))
         classification = re.search(r"classification: (\S+)", out).group(1)
-    if classification == "undefined":
+    if classification == "undefined" and not keep_undefined:
         return None
     return (Fraction(float(fields["lower"])), Fraction(fields["middle"]),
             Fraction(float(fields["upper"])))
@@ -535,3 +535,32 @@ def test_any_geometry_input_ends_in_an_exit_code(argv):
     if code == 0 and argv[0] in ("cos", "bounds") and "--exact" in argv:
         triple = exact_bound_triple(argv[argv.index("--format") + 1], out.getvalue())
         assert triple is None or triple[0] <= triple[1] <= triple[2]
+
+
+_RANKS = st.integers(-3, 3).map(str)
+_WEIGHTS = st.fractions(min_value=-9, max_value=9, max_denominator=9).map(str)
+_GRAMMAR_POINTS = st.one_of(
+    st.sampled_from(["incenter", "centroid", "nagel", "lemoine"]),
+    st.builds("{}:{}".format, st.sampled_from(["excenter", "adjnagel"]), st.sampled_from("ABC")),
+    st.builds("cevian:{},{},{}".format, _RANKS, _RANKS, _RANKS),
+    st.builds("raw:{},{},{}".format, _WEIGHTS, _WEIGHTS, _WEIGHTS),
+)
+
+
+@st.composite
+def _integer_triangles(draw):
+    a, b = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    return f"{a},{b},{draw(st.integers(abs(a - b) + 1, min(a + b - 1, 60)))}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["cos", "bounds"]), _integer_triangles(), _GRAMMAR_POINTS, _GRAMMAR_POINTS,
+       st.sampled_from(["human", "json", "csv"]))
+def test_exact_bound_triple_holds_on_valid_triangles(command, sides, p, q, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--exact", "--sides", sides, "--p", p, "--q", q, "--format", fmt])
+    assert code in (0, 1), err.getvalue()
+    if code == 0:
+        lower, middle, upper = exact_bound_triple(fmt, out.getvalue(), keep_undefined=True)
+        assert lower <= middle <= upper

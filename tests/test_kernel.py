@@ -75,7 +75,7 @@ class TestValidation:
 
     def test_rational_sides_accepted(self):
         sides = TriangleSides(Fraction(3), Fraction(4), Fraction(5))
-        assert kernel.semiperimeter(sides) == Fraction(6)
+        assert sides.s == Fraction(6)
 
 
 class TestDerivedElements:
@@ -107,10 +107,38 @@ class TestDerivedElements:
         assert (s - a) * (s - b) * (s - c) == pytest.approx(r * r * s, rel=1e-11)
         assert big_r >= 2.0 * r * (1.0 - 1e-12)
 
+    def test_fields_equal_the_float_expressions(self):
+        rng = random.Random(14)
+        floats = [random_sides(rng) for _ in range(100)]
+        cases = floats + [
+            TriangleSides(*(Fraction(v).limit_denominator(10**6) for v in sides.as_tuple()))
+            for sides in floats[:20]
+        ] + [
+            TriangleSides(3, 4, 5), TriangleSides(7, 8, 13), TriangleSides(10**40, 10**40, 10**40),
+            TriangleSides(Fraction(3), 4, 5.5), TriangleSides(Fraction(1, 3), Fraction(1, 2), 0.75),
+        ]
+        for sides in cases:
+            # the expressions derive_elements evaluated before it read a context
+            a, b, c = float(sides.a), float(sides.b), float(sides.c)
+            s = (a + b + c) / 2.0
+            area = math.sqrt(s * (s - a) * (s - b) * (s - c))
+            want = (s, area, a * b * c / (4.0 * area), area / s,
+                    area / (s - a), area / (s - b), area / (s - c))
+            el = kernel.derive_elements(sides)
+            got = tuple(getattr(el, f.name) for f in dataclasses.fields(el)[1:])
+            assert got == want and all(type(v) is float for v in got)
+            assert el.sides is sides
+
+    @pytest.mark.parametrize("scale", [Fraction(10**200), Fraction(1, 10**200)])
+    def test_exact_sides_without_a_float_image_are_degenerate(self, scale):
+        sides = TriangleSides(3 * scale, 4 * scale, 6 * scale)
+        with pytest.raises(DegenerateTriangle):
+            kernel.derive_elements(sides)
+
     def test_squared_scalars_match_oracle(self):
         placement = oracle.place_triangle(3.0, 4.0, 5.0)
         assert kernel.circumradius_sq(RIGHT) == pytest.approx(oracle.circumradius_sq(placement))
-        assert kernel.area_sq(RIGHT) == pytest.approx(36.0)
+        assert RIGHT.area2 == pytest.approx(36.0)
         assert kernel.euler_terms(RIGHT) == pytest.approx((6.0, 6.25, 2.5, 1.0))
         exradii_sq = [kernel.euler_terms(RIGHT, side)[3] for side in RIGHT.as_tuple()]
         assert exradii_sq == pytest.approx([4.0, 9.0, 36.0])
@@ -293,7 +321,7 @@ class TestScaleInvariance:
 class TestRationalBackend:
     def test_exact_right_triangle_values(self):
         sides = TriangleSides(Fraction(3), Fraction(4), Fraction(5))
-        assert kernel.area_sq(sides) == Fraction(36)
+        assert sides.area2 == Fraction(36)
         assert kernel.circumradius_sq(sides) == Fraction(25, 4)
         assert kernel.euler_terms(sides) == (6, Fraction(25, 4), Fraction(5, 2), 1)
         assert [kernel.euler_terms(sides, side)[3] for side in sides.as_tuple()] == [4, 9, 36]
