@@ -76,12 +76,12 @@ def _clamp(value: float) -> float:
     return max(-1.0, min(1.0, value))
 
 
-def _float_r_sq(sides: TriangleSides) -> float:
-    """float(R^2); DegenerateTriangle when an exact R^2 exceeds the float range."""
+def _to_float(value, name: str) -> float:
+    """float(value); DegenerateTriangle when the exact value exceeds the float range."""
     try:
-        return float(sides.r_sq)
+        return float(value)
     except OverflowError as exc:
-        raise DegenerateTriangle("R^2 exceeds the float range") from exc
+        raise DegenerateTriangle(f"{name} exceeds the float range") from exc
 
 
 def _legs(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
@@ -381,13 +381,15 @@ def rank_pair_cos(k1, k2, sides: TriangleSides) -> float:
     """cos at O between the rank-k1 and rank-k2 points.
 
     Raises UndefinedAngle when either point sits at O (equilateral triangles
-    put every rank point there).
+    put every rank point there), DegenerateTriangle past the float range.
     """
     numerator, radicand = rank_pair_parts(k1, k2, sides)
-    r_sq = _float_r_sq(sides)
+    r_sq = _to_float(sides.r_sq, "R^2")
+    # Range first: past it 4 eps^2 R^4 is infinite too, and every radicand falls below it.
+    float_radicand = _to_float(radicand, "OP^2 OQ^2")
     if radicand <= 4 * (EPS_ANGLE * EPS_ANGLE) * r_sq * r_sq:
         raise UndefinedAngle(f"rank ({k1}, {k2}) legs vanish at the circumcenter")
-    return _clamp(float(numerator) / math.sqrt(float(radicand)))
+    return _clamp(float(numerator) / math.sqrt(float_radicand))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +484,7 @@ def triple_cevian_cos(p1: BaryPoint, p2: BaryPoint, p3: BaryPoint, sides: Triang
         numerator = product = math.inf
     if not (abs(product) < math.inf and abs(numerator) < math.inf):  # catches a non-finite leg too
         raise DegenerateTriangle("a squared distance between the points exceeds the float range")
-    if min(d12, d23, d31) <= EPS_DISTINCT * _float_r_sq(sides):
+    if min(d12, d23, d31) <= EPS_DISTINCT * _to_float(sides.r_sq, "R^2"):
         raise DegenerateVertexAngle("two of the three points coincide")
     return _clamp(numerator / (2.0 * math.sqrt(product)))
 
@@ -504,7 +506,7 @@ def triple_cevian_cos_variant(
     a_sq, b_sq, c_sq = kernel.side_squares(sides)
     d12 = -(be12 * ga12 * a_sq + ga12 * al12 * b_sq + al12 * be12 * c_sq)
     d23 = -(be23 * ga23 * a_sq + ga23 * al23 * b_sq + al23 * be23 * c_sq)
-    if min(d12, d23) <= EPS_DISTINCT * sides.r_sq:
+    if min(d12, d23) <= EPS_DISTINCT * _to_float(sides.r_sq, "R^2"):
         raise DegenerateVertexAngle("two of the three points coincide")
     numerator = (
         -a_sq * (be12 * ga12 + be23 * ga23 - be31 * ga31)

@@ -264,6 +264,10 @@ def _run_geometry(args) -> int:
     return code
 
 
+_VERIFY_COLUMNS = ("name", "suite", "tolerance", "samples", "skipped", "failures",
+                   "max_abs_residual", "max_rel_residual", "advisory", "pass")
+
+
 def _cmd_verify(args) -> int:
     from .verify import FuzzConfig, load_corpus, run_fuzz  # only verify needs the harness
 
@@ -282,28 +286,24 @@ def _cmd_verify(args) -> int:
         config = FuzzConfig(**kwargs)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    report = run_fuzz(config)
+    data = run_fuzz(config).to_data()
+    summary = data["summary"]
     if args.format == "json":
-        sys.stdout.write(report.to_json())
+        sys.stdout.write(dumps(data) + "\n")
     elif args.format == "csv":
-        print("name,suite,tolerance,samples,skipped,failures,"
-              "max_abs_residual,max_rel_residual,advisory,pass")
-        for check in report.checks:
-            print(",".join(csv_cell(value) for value in (
-                check.name, check.suite, check.tolerance, check.samples,
-                check.skipped, check.failures, check.max_abs_residual,
-                check.max_rel_residual, check.advisory, check.passed)))
+        print(",".join(_VERIFY_COLUMNS))
+        for row in data["checks"]:  # only advisory checks carry an "advisory" key
+            print(",".join(csv_cell(row.get(column, False)) for column in _VERIFY_COLUMNS))
     else:
-        for check in report.checks:
-            status = "NOTE" if check.advisory else ("PASS" if check.passed else "FAIL")
-            print(f"{status} {check.name} samples={check.samples} "
-                  f"skipped={check.skipped} failures={check.failures} "
-                  f"max_abs={format_number(check.max_abs_residual)} "
-                  f"max_rel={format_number(check.max_rel_residual)}")
-        verdict = "pass" if report.passed else "fail"
-        print(f"result: {verdict} ({len(report.checks)} checks, "
-              f"{len(report.failed_names)} failed, {report.contexts} contexts)")
-    return 0 if report.passed else 3
+        for row in data["checks"]:
+            status = "NOTE" if row.get("advisory") else ("PASS" if row["pass"] else "FAIL")
+            print(f"{status} {row['name']} samples={row['samples']} "
+                  f"skipped={row['skipped']} failures={row['failures']} "
+                  f"max_abs={format_number(row['max_abs_residual'])} "
+                  f"max_rel={format_number(row['max_rel_residual'])}")
+        print(f"result: {'pass' if summary['pass'] else 'fail'} ({summary['checks']} checks, "
+              f"{summary['failed_checks']} failed, {summary['contexts']} contexts)")
+    return 0 if summary["pass"] else 3
 
 
 def main(argv=None) -> int:

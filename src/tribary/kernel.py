@@ -74,11 +74,15 @@ class TriangleSides:
             raise DegenerateTriangle(_message("non-positive side in ({}, {}, {})", a, b, c))
         perimeter = x + y + z
         twice = (y + z - x, z + x - y, x + y - z)  # 2 lam (s - a, s - b, s - c)
-        gap = Fraction(min(twice), lam) if exact else min(twice)
         try:  # an int / int perimeter rounds as float(Fraction) does
-            thin = gap <= EPS_TRIANGLE * (perimeter / lam)
+            bound = EPS_TRIANGLE * (perimeter / lam)
         except OverflowError as exc:  # an exact perimeter past the float range
             raise DegenerateTriangle("sides exceed the float range") from exc
+        if exact:  # min(twice) / lam <= bound, decided in integers
+            num, den = bound.as_integer_ratio()
+            thin = min(twice) * den <= num * lam
+        else:
+            thin = min(twice) <= bound
         if thin:
             raise DegenerateTriangle(
                 _message("triangle inequality fails for ({}, {}, {})", a, b, c))

@@ -29,7 +29,9 @@ slice, which pickles its accumulators (or the exception that stopped it)
 into a pipe.  ``_merge`` folds the slices in (stratum, slice) order with
 the same strict ``>`` rule as ``CheckAccumulator.record``, so the report,
 and the first error raised, are those of one serial pass over the
-samples, whatever W is.
+samples, whatever W is.  Each check's worst case is one record in report
+form, and ``VerificationReport.to_data`` is the one value every output
+format is printed from.
 """
 
 from __future__ import annotations
@@ -381,6 +383,7 @@ class _Sample:
 class CheckAccumulator:
     """Worst residuals seen by one named check across all samples.
 
+    ``worst_case`` is the sample closest to failing, in report form.
     A check whose name starts with ``diag_`` is advisory and never fails.
     A check whose name ends with ``_radicand`` skips exactly the samples
     whose radicand is not positive, so its counters are its two counts.
@@ -396,10 +399,7 @@ class CheckAccumulator:
     failures: int = 0
     max_abs_residual: float = 0.0
     max_rel_residual: float = 0.0
-    worst_stratum: Optional[str] = None
-    worst_sides: Optional[tuple] = None
-    worst_p: Optional[tuple] = None
-    worst_q: Optional[tuple] = None
+    worst_case: Optional[dict] = None
     _worst_key: float = field(default=-1.0, repr=False)
 
     def __post_init__(self):
@@ -429,10 +429,12 @@ class CheckAccumulator:
             key = rel_residual / max(self.tolerance * ctx.tol_scale, 1e-300)
         if key > self._worst_key:
             self._worst_key = key
-            self.worst_stratum = ctx.stratum
-            self.worst_sides = ctx.sides.as_tuple()
-            self.worst_p = p.as_tuple() if p is not None else None
-            self.worst_q = q.as_tuple() if q is not None else None
+            self.worst_case = {
+                "stratum": ctx.stratum,
+                "sides": [float(v) for v in ctx.sides.as_tuple()],
+                "p": [float(v) for v in p.as_tuple()] if p is not None else None,
+                "q": [float(v) for v in q.as_tuple()] if q is not None else None,
+            }
 
     def merge(self, part: CheckAccumulator) -> None:
         """Fold in the accumulator of the samples that follow this one's."""
@@ -445,24 +447,13 @@ class CheckAccumulator:
             self.max_rel_residual = part.max_rel_residual
         if part._worst_key > self._worst_key:
             self._worst_key = part._worst_key
-            self.worst_stratum = part.worst_stratum
-            self.worst_sides = part.worst_sides
-            self.worst_p = part.worst_p
-            self.worst_q = part.worst_q
+            self.worst_case = part.worst_case
 
     @property
     def passed(self) -> bool:
         return self.advisory or self.failures == 0
 
     def to_data(self) -> dict:
-        worst = None
-        if self.worst_sides is not None:
-            worst = {
-                "stratum": self.worst_stratum,
-                "sides": [float(v) for v in self.worst_sides],
-                "p": [float(v) for v in self.worst_p] if self.worst_p else None,
-                "q": [float(v) for v in self.worst_q] if self.worst_q else None,
-            }
         data = {
             "name": self.name,
             "suite": self.suite,
@@ -472,7 +463,7 @@ class CheckAccumulator:
             "failures": self.failures,
             "max_abs_residual": self.max_abs_residual,
             "max_rel_residual": self.max_rel_residual,
-            "worst_case": worst,
+            "worst_case": self.worst_case,
             "pass": self.passed,
         }
         if self.advisory:
@@ -516,7 +507,7 @@ class VerificationReport:
             "summary": {
                 "contexts": self.contexts,
                 "checks": len(self.checks),
-                "failed_checks": sum(0 if check.passed else 1 for check in self.checks),
+                "failed_checks": len(self.failed_names),
                 "pass": self.passed,
             },
         }
@@ -833,10 +824,11 @@ def classical_power_sum_identities(ctx):
 def classical_parts_exact_identity(ctx):
     es = ctx.exact_sides
     inc, cen = incenter(es), centroid(es)
+    rank01 = centroid_incenter_cos_parts(es)
     return _exact(
         _parts_agree(general_cos_parts(inc, nagel_point(es), es), classical_cos_parts(es))
-        and _parts_agree(general_cos_parts(cen, inc, es), centroid_incenter_cos_parts(es))
-        and _parts_agree(rank_pair_parts(0, 1, es), centroid_incenter_cos_parts(es))
+        and _parts_agree(general_cos_parts(cen, inc, es), rank01)
+        and _parts_agree(rank_pair_parts(0, 1, es), rank01)
         and _parts_agree(rank_pair_parts(1, 2, es), incenter_lemoine_cos_parts(es)))
 
 

@@ -8,6 +8,7 @@ rank (0,1) cos = 0.98386991..., corrected rank (1,2) cos = 0.99792530...
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -258,6 +259,9 @@ class TestIntegerRoute:
 
 HUGE_EQUILATERAL = TriangleSides(*[Fraction(10**200)] * 3)
 HUGE_SCALENE = TriangleSides(Fraction(3 * 10**200), Fraction(4 * 10**200), Fraction(6 * 10**200))
+# R^2 (about 1e200) fits a float; 4 eps^2 R^4 and the radicand 4 OP^2 OQ^2 do not.
+LARGE_SCALENE = TriangleSides(Fraction(3 * 10**100), Fraction(4 * 10**100), Fraction(6 * 10**100))
+R_SQ_OVERFLOW = DegenerateTriangle("R^2 exceeds the float range")
 
 
 @pytest.mark.parametrize("sides, call, outcome", [
@@ -265,15 +269,25 @@ HUGE_SCALENE = TriangleSides(Fraction(3 * 10**200), Fraction(4 * 10**200), Fract
         centers.incenter(s), centers.nagel_point(s), s).classification, blundon.CLASS_UNDEFINED),
     (HUGE_EQUILATERAL, lambda s: blundon.blundon_bounds(
         centers.incenter(s), centers.nagel_point(s), s), (0.0, 0, 0.0)),
-    (HUGE_SCALENE, lambda s: blundon.rank_pair_cos(0, 1, s), DegenerateTriangle),
+    (HUGE_SCALENE, lambda s: blundon.rank_pair_cos(0, 1, s), R_SQ_OVERFLOW),
     (HUGE_EQUILATERAL, lambda s: blundon.triple_cevian_cos(
-        centers.incenter(s), centers.centroid(s), centers.lemoine_point(s), s), DegenerateTriangle),
-], ids=["cos_angle_at_circumcenter", "blundon_bounds", "rank_pair_cos", "triple_cevian_cos"])
+        centers.incenter(s), centers.centroid(s), centers.lemoine_point(s), s), R_SQ_OVERFLOW),
+    (LARGE_SCALENE, lambda s: blundon.rank_pair_cos(0, 1, s),
+     DegenerateTriangle("OP^2 OQ^2 exceeds the float range")),
+    (LARGE_SCALENE, lambda s: blundon.cos_angle_at_circumcenter(
+        centers.centroid(s), centers.incenter(s), s),
+     DegenerateTriangle("OP^2 OQ^2 exceeds the float range")),
+    (HUGE_EQUILATERAL, lambda s: blundon.triple_cevian_cos_variant(
+        centers.incenter(s), centers.centroid(s), centers.lemoine_point(s), s), R_SQ_OVERFLOW),
+], ids=["cos_angle_at_circumcenter", "blundon_bounds", "rank_pair_cos", "triple_cevian_cos",
+        "rank_pair_cos_radicand", "cos_angle_at_circumcenter_radicand",
+        "triple_cevian_cos_variant"])
 def test_exact_r_sq_past_the_float_range(sides, call, outcome):
-    """R^2 of these exact triangles is about 1e400: an R^2 that cannot be a float makes
-    the vanishing-leg threshold infinite, or else raises DegenerateTriangle."""
-    if outcome is DegenerateTriangle:
-        with pytest.raises(DegenerateTriangle, match=r"R\^2 exceeds the float range"):
+    """An exact R^2, or an OP^2 OQ^2, that cannot be a float makes the vanishing-leg
+    threshold infinite, or else raises DegenerateTriangle with the same message on
+    every route, never UndefinedAngle or a bare OverflowError."""
+    if isinstance(outcome, DegenerateTriangle):
+        with pytest.raises(DegenerateTriangle, match=re.escape(str(outcome))):
             call(sides)
     else:
         assert call(sides) == outcome
