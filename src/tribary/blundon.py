@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -36,6 +35,7 @@ from .kernel import BaryPoint, TriangleElements, TriangleSides
 # Relative threshold (against R^2) below which a leg OP is numerically zero
 # and the angle at O carries no information.
 EPS_ANGLE = 1e-12
+_EPS_SQ_NUM, _EPS_SQ_DEN = (EPS_ANGLE * EPS_ANGLE).as_integer_ratio()  # the exact route's eps^2
 
 # Threshold on 1 - |cos| for flagging the collinear equality cases.
 EPS_COLLINEAR = 1e-9
@@ -55,8 +55,7 @@ class BoundTriple(NamedTuple):
     upper: float
 
 
-@dataclass(frozen=True)
-class AngleReport:
+class AngleReport(NamedTuple):
     """Cosine, squared legs, and inequality bounds for one angle at O.
 
     cos_value is None exactly when classification is "undefined".  In exact
@@ -135,13 +134,8 @@ class _Cleared(NamedTuple):
             upper = math.nextafter(upper, math.inf)
             num, den = upper.as_integer_ratio()
         bounds = BoundTriple(-upper, middle, upper)
-        try:
-            r_sq = abc_sq / leg_den  # float(R^2)
-        except OverflowError:  # then every finite OP^2 OQ^2 lies below the threshold
-            r_sq = math.inf
-        threshold = ((EPS_ANGLE * EPS_ANGLE) * r_sq) * r_sq
-        t_num, t_den = threshold.as_integer_ratio() if threshold < math.inf else (1, 0)
-        if product * t_den <= t_num * product_den:  # exactly; an infinite threshold is 1/0
+        # OP^2 OQ^2 <= eps^2 R^4 exactly, both sides times (H lam^2)^2 sigma_P^2 sigma_Q^2
+        if product * _EPS_SQ_DEN <= _EPS_SQ_NUM * abc_sq * abc_sq * sp_sq * sq_sq:
             return AngleReport(None, op_sq, oq_sq, pq_sq, bounds, CLASS_UNDEFINED)
         if quotient < sys.float_info.min:  # upper could not be rounded outward
             raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")

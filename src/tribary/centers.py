@@ -111,13 +111,16 @@ def cevian_rank(k, l, m, sides: TriangleSides) -> BaryPoint:
     gap_a, gap_b, gap_c = sides.gaps
     sum_a, sum_b, sum_c = sides.sums
     try:  # an exact factor times a float one is a float, and may not fit
-        return BaryPoint(
+        weights = (
             pow_keep_exact(a, k) * pow_keep_exact(gap_a, l) * pow_keep_exact(sum_a, m),
             pow_keep_exact(b, k) * pow_keep_exact(gap_b, l) * pow_keep_exact(sum_b, m),
             pow_keep_exact(c, k) * pow_keep_exact(gap_c, l) * pow_keep_exact(sum_c, m),
         )
     except OverflowError as exc:
         raise GeometryError("cevian weights leave the float range") from exc
+    if not any(weights):  # positive bases: only float powers that all underflowed
+        raise GeometryError("cevian weights leave the float range")
+    return BaryPoint(*weights)
 
 
 def _raw_point(t1, t2, t3, sides: TriangleSides) -> BaryPoint:

@@ -107,17 +107,8 @@ def _triple_str(values) -> str:
 
 def _derive(args, sides, specs, points):
     elements = derive_elements(sides)
-    data = {
-        "sides": [float(v) for v in sides.as_tuple()],
-        "semiperimeter": elements.semiperimeter,
-        "area": elements.area,
-        "circumradius": elements.circumradius,
-        "inradius": elements.inradius,
-        "exradius_a": elements.exradius_a,
-        "exradius_b": elements.exradius_b,
-        "exradius_c": elements.exradius_c,
-        "equilateral": elements.is_equilateral,
-    }
+    data = elements._asdict()  # every field, in order; the sides become a float list
+    data.update(sides=[float(v) for v in sides.as_tuple()], equilateral=elements.is_equilateral)
     lines = [
         f"sides: {_triple_str(data['sides'])}",
         f"semiperimeter: {format_number(elements.semiperimeter)}",

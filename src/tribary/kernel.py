@@ -15,6 +15,11 @@ and ``repr``.  :class:`TriangleSides` caches ``s``, ``gaps`` (s - a, s - b, s - 
 ``ints`` (A, B, C) = ``lam`` (a, b, c) with lam the lcm of the denominators,
 ``h`` = 16 area^2 of (A, B, C) and ``abc_sq`` = (ABC)^2.  A :class:`BaryPoint` of
 three ``Fraction`` weights keeps coprime integer weights in ``ints`` (else None).
+
+Records: a frozen dataclass only where construction validates or builds a
+context (TriangleSides, BaryPoint, CenterSpec, FuzzConfig), a mutable one for
+CheckAccumulator, and a NamedTuple for every other record (BoundTriple,
+AngleReport, _Cleared, TriangleElements, Placement, VerificationReport).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import DegenerateTriangle, GeometryError, NonPositiveWeights, PointAtInfinity
 
@@ -159,8 +164,7 @@ class BaryPoint:
         return (self.t1 / total, self.t2 / total, self.t3 / total)
 
 
-@dataclass(frozen=True)
-class TriangleElements:
+class TriangleElements(NamedTuple):
     """Derived scalars of a triangle, in length units (always floats)."""
 
     sides: TriangleSides

@@ -12,7 +12,7 @@ modules under test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateTriangle, PointAtInfinity, UndefinedAngle
 
@@ -22,8 +22,7 @@ EPS_SIDELINE = 1e-12
 XY = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     """Concrete Cartesian coordinates for the three triangle vertices."""
 
     a_xy: XY

@@ -45,7 +45,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import oracle
 from .blundon import (
@@ -246,7 +246,7 @@ def load_corpus(path) -> tuple:
     the triple is read exactly into TriangleSides.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CorpusFormatError(f"{path}: cannot read: {exc}") from exc
@@ -476,8 +476,7 @@ class CheckAccumulator:
         return data
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one run_fuzz call; serializes deterministically."""
 
     config: FuzzConfig

@@ -141,6 +141,26 @@ class TestAngleReport:
         with pytest.raises(DegenerateTriangle, match="float range"):
             blundon.blundon_bounds(p, INCENTER, RIGHT)
 
+    @pytest.mark.parametrize("sides, delta, want", [
+        (EXACT_RIGHT, Fraction(1, 10**6) * (1 - Fraction(1, 10**9)), blundon.CLASS_UNDEFINED),
+        (EXACT_RIGHT, Fraction(1, 10**6) * (1 + Fraction(1, 10**9)),
+         blundon.CLASS_COLLINEAR_SAME_SIDE),
+        (TriangleSides(Fraction(7), Fraction(8), Fraction(13)),
+         Fraction(1, 10**6) * (1 - Fraction(1, 10**9)), blundon.CLASS_UNDEFINED),
+        (TriangleSides(Fraction(7), Fraction(8), Fraction(13)),
+         Fraction(1, 10**6) * (1 + Fraction(1, 10**9)), blundon.CLASS_COLLINEAR_SAME_SIDE),
+        (RIGHT, 0.99e-6, blundon.CLASS_UNDEFINED),
+        (RIGHT, 1.01e-6, blundon.CLASS_COLLINEAR_SAME_SIDE),
+    ])
+    def test_undefined_threshold_sides(self, sides, delta, want):
+        # P = Q = O + delta (A - O), so OP^2 OQ^2 = delta^4 R^4 against EPS_ANGLE^2 R^4:
+        # undefined exactly when delta <= 1e-6
+        center = centers.circumcenter_point(sides).normalized()
+        p = BaryPoint(*((1 - delta) * o + delta * v for o, v in zip(center, (1, 0, 0))))
+        report = blundon.cos_angle_at_circumcenter(p, p, sides)
+        assert report.op_sq == pytest.approx(delta * delta * sides.r_sq, rel=1e-6)
+        assert report.classification == want
+
     def test_mixed_exact_legs_outside_float_range_raise(self):
         # Fraction and int weights take the generic path with legs near 1e400
         p = BaryPoint(Fraction(10**200), -(10**200), 1)

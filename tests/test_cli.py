@@ -198,6 +198,13 @@ class TestCos:
         assert out == ""
         assert "error:" in err and "not finite" in err
 
+    def test_underflowing_cevian_weights_exit_one(self, capsys):
+        # 3^-700, 4^-700 and 5^-700 each underflow to 0.0: no weights the user typed
+        code, out, err = run_cli(capsys, "cos", "--sides", "3,4,5",
+                                 "--p", "cevian:-700,0,0", "--q", "incenter")
+        assert (code, out) == (1, "")
+        assert err == "error: cevian weights leave the float range\n"
+
     @pytest.mark.parametrize("argv", [
         ("cos", "--sides", "1e200,1e200,1e200", "--p", "incenter", "--q", "nagel"),
         ("cos", "--sides", "1e60,1e60,1.5e60", "--p", "incenter", "--q", "nagel"),

@@ -11,10 +11,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tribary import kernel, oracle
+from tribary import blundon, kernel, oracle, verify
 from tribary.errors import (
     DegenerateTriangle,
     GeometryError,
@@ -125,7 +125,7 @@ class TestDerivedElements:
             want = (s, area, a * b * c / (4.0 * area), area / s,
                     area / (s - a), area / (s - b), area / (s - c))
             el = kernel.derive_elements(sides)
-            got = tuple(getattr(el, f.name) for f in dataclasses.fields(el)[1:])
+            got = el[1:]  # every field after sides
             assert got == want and all(type(v) is float for v in got)
             assert el.sides is sides
 
@@ -294,17 +294,24 @@ class TestScaleInvariance:
         st.integers(min_value=0, max_value=10**9),
         st.sampled_from([2.0, -1.0, 1e-6]),
     )
+    # Draws whose weights nearly cancel: rounding lam * p moves the exact value
+    # by more than 1e-12, so the float results at p and at fl(lam p) differ too.
+    @example(1412, 1e-6)
+    @example(18865, 1e-6)
     def test_float_mode(self, seed, lam):
+        """The float kernel at p and at fl(lam p) each match an exact evaluation
+        of its own input; exact invariance is test_rational_mode_is_exact's."""
         rng = random.Random(seed)
         sides = random_sides(rng)
         p, q = random_point(rng), random_point(rng)
-        scaled = BaryPoint(lam * p.t1, lam * p.t2, lam * p.t3)
-        base_cp = kernel.circum_power(p, sides)
-        base_d = kernel.dist_sq_between(p, q, sides)
-        assert kernel.circum_power(scaled, sides) == pytest.approx(base_cp, rel=1e-12, abs=1e-15)
-        assert kernel.dist_sq_between(scaled, q, sides) == pytest.approx(
-            base_d, rel=1e-12, abs=1e-15
-        )
+        exact_sides = TriangleSides(*map(Fraction, sides.as_tuple()))
+        exact_q = BaryPoint(*map(Fraction, q.as_tuple()))
+        for x in (p, BaryPoint(lam * p.t1, lam * p.t2, lam * p.t3)):
+            exact_x = BaryPoint(*map(Fraction, x.as_tuple()))
+            assert kernel.circum_power(x, sides) == pytest.approx(
+                kernel.circum_power(exact_x, exact_sides), rel=1e-12, abs=1e-15)
+            assert kernel.dist_sq_between(x, q, sides) == pytest.approx(
+                kernel.dist_sq_between(exact_x, exact_q, exact_sides), rel=1e-12, abs=1e-15)
 
     def test_rational_mode_is_exact(self):
         sides = TriangleSides(Fraction(3), Fraction(4), Fraction(5))
@@ -473,3 +480,41 @@ class TestContexts:
         with pytest.raises(PointAtInfinity) as info:
             BaryPoint(*weights)
         assert str(info.value) == message
+
+
+def _verification_report():
+    check = verify.CheckAccumulator("kernel_power_vs_oracle", "kernel", 1e-9)
+    return verify.VerificationReport(verify.FuzzConfig(count=1), [check], 5)
+
+
+# Plain value records are NamedTuples: tuples with named fields, a keyword repr,
+# value equality and hash, and pickling by value.
+@pytest.mark.parametrize("build, fields, text, hashable", [
+    (lambda: blundon.cos_angle_at_circumcenter(INCENTER, NAGEL, RIGHT),
+     ("cos_value", "op_sq", "oq_sq", "pq_sq", "bounds", "classification"),
+     "AngleReport(cos_value=0.4472135954999579, op_sq=1.25, oq_sq=0.2500000000000009, "
+     "pq_sq=1.0, bounds=BoundTriple(lower=-1.118033988749897, middle=0.5000000000000009, "
+     "upper=1.118033988749897), classification='generic')", True),
+    (lambda: kernel.derive_elements(RIGHT),
+     ("sides", "semiperimeter", "area", "circumradius", "inradius",
+      "exradius_a", "exradius_b", "exradius_c"),
+     "TriangleElements(sides=TriangleSides(a=3.0, b=4.0, c=5.0), semiperimeter=6.0, area=6.0, "
+     "circumradius=2.5, inradius=1.0, exradius_a=2.0, exradius_b=3.0, exradius_c=6.0)", True),
+    (lambda: oracle.place_triangle(3.0, 4.0, 5.0), ("a_xy", "b_xy", "c_xy"),
+     "Placement(a_xy=(3.0, 4.0), b_xy=(0.0, 0.0), c_xy=(3.0, 0.0))", True),
+    # its checks are a list of mutable accumulators, so it was never hashable
+    (_verification_report, ("config", "checks", "contexts"), None, False),
+], ids=["AngleReport", "TriangleElements", "Placement", "VerificationReport"])
+def test_value_records_are_named_tuples(build, fields, text, hashable):
+    record, twin = build(), build()
+    assert isinstance(record, tuple) and type(record)._fields == fields
+    if text is not None:
+        assert repr(record) == text
+    assert record == twin
+    if hashable:
+        assert hash(record) == hash(twin)
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record

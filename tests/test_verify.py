@@ -115,6 +115,8 @@ class TestLoadCorpus:
     def test_reads_rows_as_strings(self, tmp_path):
         path = self.write(tmp_path, "a,b,c\n3,4,5\n1.5, 1.5 ,2.4\n")
         assert load_corpus(path) == (("3", "4", "5"), ("1.5", "1.5", "2.4"))
+        path.write_bytes(b"\xef\xbb\xbfa,b,c\r\n3,4,5\r\n")  # "CSV UTF-8": a byte-order mark
+        assert load_corpus(path) == (("3", "4", "5"),)
 
     def test_skips_blank_lines(self, tmp_path):
         path = self.write(tmp_path, "a,b,c\n\n3,4,5\n\n")
