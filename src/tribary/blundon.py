@@ -102,6 +102,10 @@ class _Cleared(NamedTuple):
         OP^2 + OQ^2 - PQ^2 = M / (H lam^2 sigma_P^2 sigma_Q^2),
         M = N_P sigma_Q^2 + N_Q sigma_P^2 + H F_D.
 
+    With the polar form B(P, Q) = F(P + Q) - F(P) - F(Q) (kernel._polar_form),
+    F_D = sigma_Q^2 F(P) + sigma_P^2 F(Q) - sigma_P sigma_Q B(P, Q) reuses F(P)
+    and F(Q), and M = sigma_P sigma_Q (2 (ABC)^2 sigma_P sigma_Q - H B(P, Q)).
+
     Every field is a Python int; only the reported values become Fractions.
     """
 
@@ -154,14 +158,16 @@ def _clear(p: BaryPoint, q: BaryPoint, sides: TriangleSides) -> Optional[_Cleare
     """The integers of _Cleared, or None unless the sides and all six weights are Fractions."""
     if sides.ints is None or p.ints is None or q.ints is None:
         return None
-    h, abc_sq, lam, ints = sides.h, sides.abc_sq, sides.lam, sides.ints
-    (p1, p2, p3), (q1, q2, q3) = p.ints, q.ints
-    sp, sq = p1 + p2 + p3, q1 + q2 + q3
-    sp_sq, sq_sq = sp * sp, sq * sq
-    n_p = abc_sq * sp_sq - h * kernel._quadratic_form(p.ints, *ints)
-    n_q = abc_sq * sq_sq - h * kernel._quadratic_form(q.ints, *ints)
-    f_d = kernel._quadratic_form((sq * p1 - sp * q1, sq * p2 - sp * q2, sq * p3 - sp * q3), *ints)
-    m = n_p * sq_sq + n_q * sp_sq + h * f_d
+    h, abc_sq, lam, (a, b, c) = sides.h, sides.abc_sq, sides.lam, sides.ints
+    p_ints, q_ints = p.ints, q.ints
+    sp, sq = sum(p_ints), sum(q_ints)
+    sp_sq, sq_sq, spq = sp * sp, sq * sq, sp * sq
+    f_p, f_q = kernel._quadratic_form(p_ints, a, b, c), kernel._quadratic_form(q_ints, a, b, c)
+    polar = kernel._polar_form(p_ints, q_ints, a, b, c)
+    n_p = abc_sq * sp_sq - h * f_p
+    n_q = abc_sq * sq_sq - h * f_q
+    f_d = sq_sq * f_p + sp_sq * f_q - spq * polar
+    m = spq * (2 * abc_sq * spq - h * polar)
     return _Cleared(abc_sq, h * lam * lam, lam * lam, sp_sq, sq_sq, n_p, n_q, f_d, m)
 
 

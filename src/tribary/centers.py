@@ -3,6 +3,10 @@
 Every generator returns homogeneous :class:`~tribary.kernel.BaryPoint`
 weights.  Like the kernel, the generators are duck-typed: rational side
 lengths stay rational as long as the requested exponents are integers.
+For ``Fraction`` sides each generator builds the point's integer weights
+straight from the triangle's integer context (A, B, C), its gaps 2 lam (s - a)
+and its perimeter, and its Fraction weights from those the triangle holds or
+from their integers over a known denominator, so no point clears its own.
 :func:`parse_center_spec` turns the CLI's textual descriptors into
 :class:`CenterSpec` records, and :func:`resolve` evaluates those records.
 
@@ -20,9 +24,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CenterSpecError, GeometryError, InputError
-from .kernel import BaryPoint, TriangleSides, float_sides, pow_keep_exact
+from .kernel import (BaryPoint, TriangleSides, float_sides, past_digit_limit, pow_keep_exact,
+                     refuse_huge_power)
 
 VERTICES = ("A", "B", "C")
+
+_ONE = Fraction(1)
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -47,19 +55,30 @@ class CenterSpec:
 
 
 def incenter(sides: TriangleSides) -> BaryPoint:
+    if sides.ints is not None:
+        return BaryPoint.from_ints(sides.a, sides.b, sides.c, sides.ints)
     return BaryPoint(sides.a, sides.b, sides.c)
 
 
 def centroid(sides: TriangleSides) -> BaryPoint:
+    if sides.ints is not None:
+        return BaryPoint.from_ints(_ONE, _ONE, _ONE, (1, 1, 1))
     one = sides.a / sides.a  # unit in the arithmetic of the sides
     return BaryPoint(one, one, one)
 
 
 def nagel_point(sides: TriangleSides) -> BaryPoint:
+    if sides.ints is not None:
+        return BaryPoint.from_ints(*sides.gaps, sides.twice)
     return BaryPoint(*sides.gaps)  # s - a : s - b : s - c
 
 
 def lemoine_point(sides: TriangleSides) -> BaryPoint:
+    if sides.ints is not None:  # a^2 = A^2 / lam^2
+        (x, y, z), lam_sq = sides.ints, sides.lam * sides.lam
+        x, y, z = x * x, y * y, z * z
+        return BaryPoint.from_ints(Fraction(x, lam_sq), Fraction(y, lam_sq), Fraction(z, lam_sq),
+                                   (x, y, z))
     a, b, c = sides.as_tuple()
     return BaryPoint(a * a, b * b, c * c)
 
@@ -76,11 +95,19 @@ def circumcenter_point(sides: TriangleSides) -> BaryPoint:
 
 def excenter(vertex: str, sides: TriangleSides) -> BaryPoint:
     a, b, c = sides.as_tuple()
-    if vertex == "A":
+    if sides.ints is not None:  # the negated weight straight from its integer
+        (x, y, z), lam = sides.ints, sides.lam
+        if vertex == "A":
+            return BaryPoint.from_ints(Fraction(-x, lam), b, c, (-x, y, z))
+        if vertex == "B":
+            return BaryPoint.from_ints(a, Fraction(-y, lam), c, (x, -y, z))
+        if vertex == "C":
+            return BaryPoint.from_ints(a, b, Fraction(-z, lam), (x, y, -z))
+    elif vertex == "A":
         return BaryPoint(-a, b, c)
-    if vertex == "B":
+    elif vertex == "B":
         return BaryPoint(a, -b, c)
-    if vertex == "C":
+    elif vertex == "C":
         return BaryPoint(a, b, -c)
     raise CenterSpecError(f"vertex must be A, B, or C, got {vertex!r}")
 
@@ -92,11 +119,22 @@ def adjoint_nagel(vertex: str, sides: TriangleSides) -> BaryPoint:
     relabelings.  Each weight sum collapses to s minus the named side.
     """
     s, (gap_a, gap_b, gap_c) = sides.s, sides.gaps
-    if vertex == "A":
+    if sides.ints is not None:  # 2 lam s and the negated gaps from 2 lam (s - a, ...)
+        p, (g_a, g_b, g_c), half = sum(sides.ints), sides.twice, 2 * sides.lam
+        if vertex == "A":
+            return BaryPoint.from_ints(s, Fraction(-g_c, half), Fraction(-g_b, half),
+                                       (p, -g_c, -g_b))
+        if vertex == "B":
+            return BaryPoint.from_ints(Fraction(-g_c, half), s, Fraction(-g_a, half),
+                                       (-g_c, p, -g_a))
+        if vertex == "C":
+            return BaryPoint.from_ints(Fraction(-g_b, half), Fraction(-g_a, half), s,
+                                       (-g_b, -g_a, p))
+    elif vertex == "A":
         return BaryPoint(s, -gap_c, -gap_b)
-    if vertex == "B":
+    elif vertex == "B":
         return BaryPoint(-gap_c, s, -gap_a)
-    if vertex == "C":
+    elif vertex == "C":
         return BaryPoint(-gap_b, -gap_a, s)
     raise CenterSpecError(f"vertex must be A, B, or C, got {vertex!r}")
 
@@ -105,22 +143,68 @@ def cevian_rank(k, l, m, sides: TriangleSides) -> BaryPoint:
     """Weights a^k (s-a)^l (b+c)^m : b^k (s-b)^l (a+c)^m : c^k (s-c)^l (a+b)^m.
 
     Rank (0,0,0) is the centroid, (1,0,0) the incenter, (2,0,0) the Lemoine
-    point, and (0,1,0) the Nagel point.
+    point, and (0,1,0) the Nagel point.  Fraction sides of a scalene or
+    isosceles triangle with integral ranks take :func:`_integer_cevian_rank`.
     """
+    ints = sides.ints
+    if (ints is not None and not ints[0] == ints[1] == ints[2]
+            and k % 1 == 0 and l % 1 == 0 and m % 1 == 0):
+        return _integer_cevian_rank(int(k), int(l), int(m), sides)
     a, b, c = sides.as_tuple()
     gap_a, gap_b, gap_c = sides.gaps
     sum_a, sum_b, sum_c = sides.sums
     try:  # an exact factor times a float one is a float, and may not fit
-        weights = (
-            pow_keep_exact(a, k) * pow_keep_exact(gap_a, l) * pow_keep_exact(sum_a, m),
-            pow_keep_exact(b, k) * pow_keep_exact(gap_b, l) * pow_keep_exact(sum_b, m),
-            pow_keep_exact(c, k) * pow_keep_exact(gap_c, l) * pow_keep_exact(sum_c, m),
-        )
+        w_a = pow_keep_exact(a, k) * pow_keep_exact(gap_a, l) * pow_keep_exact(sum_a, m)
+        w_b = pow_keep_exact(b, k) * pow_keep_exact(gap_b, l) * pow_keep_exact(sum_b, m)
+        w_c = pow_keep_exact(c, k) * pow_keep_exact(gap_c, l) * pow_keep_exact(sum_c, m)
     except OverflowError as exc:
         raise GeometryError("cevian weights leave the float range") from exc
-    if not any(weights):  # positive bases: only float powers that all underflowed
+    # Positive bases: float weights can only underflow, and subnormal ones lose digits.
+    if w_a < _FLOAT_MIN and w_b < _FLOAT_MIN and w_c < _FLOAT_MIN and isinstance(w_a, float):
         raise GeometryError("cevian weights leave the float range")
-    return BaryPoint(*weights)
+    return BaryPoint(w_a, w_b, w_c)
+
+
+def _integer_cevian_rank(k: int, l: int, m: int, sides: TriangleSides) -> BaryPoint:
+    """cevian_rank's point from the integer context, with the same fields.
+
+    With A_i = lam a_i, G_i = 2 lam (s - a_i) and S_i = lam (a_j + a_k), weight i is
+    N_i top / den with N_i = A_i^k G_i^l S_i^m, where a negative exponent moves
+    to the other two vertices' bases, (A_j A_k)^|k|, and the common factor
+    top / den = 1 / (lam^(k+l+m) 2^l) divided by (A_1 A_2 A_3)^|k| when k < 0,
+    and likewise for l and m.  The triangle is not equilateral: there all three
+    Fraction bases of an exponent can be 1, which the digit limit lets through
+    at any exponent, while their integer base is 2.
+    """
+    x, y, z = sides.ints
+    # Each Fraction base is an integer below the perimeter over a divisor of
+    # 2 lam, so pow_keep_exact's digit-limit test refuses none below this bound.
+    bound = max(x + y + z, 2 * sides.lam).bit_length() - 1
+    if past_digit_limit(bound, max(abs(k), abs(l), abs(m))):
+        for i, a in enumerate(sides.as_tuple()):  # its refusals, in its order
+            refuse_huge_power(a, k)
+            refuse_huge_power(sides.gaps[i], l)
+            refuse_huge_power(sides.sums[i], m)
+    n_a = n_b = n_c = top = den = 1
+    g_a, g_b, g_c = sides.twice
+    for b_a, b_b, b_c, e in ((x, y, z, k), (g_a, g_b, g_c, l), (y + z, x + z, x + y, m)):
+        if e > 0:
+            n_a, n_b, n_c = n_a * b_a ** e, n_b * b_b ** e, n_c * b_c ** e
+        elif e < 0:
+            e = -e
+            n_a, n_b, n_c = n_a * (b_b * b_c) ** e, n_b * (b_a * b_c) ** e, n_c * (b_a * b_b) ** e
+            den *= (b_a * b_b * b_c) ** e
+    lam, total = sides.lam, k + l + m
+    if total > 0:
+        den *= lam ** total
+    else:
+        top *= lam ** -total
+    if l > 0:
+        den <<= l
+    else:
+        top <<= -l
+    return BaryPoint.from_ints(Fraction(n_a * top, den), Fraction(n_b * top, den),
+                               Fraction(n_c * top, den), (n_a, n_b, n_c))
 
 
 def _raw_point(t1, t2, t3, sides: TriangleSides) -> BaryPoint:

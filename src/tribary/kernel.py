@@ -13,8 +13,11 @@ and ``repr``.  :class:`TriangleSides` caches ``s``, ``gaps`` (s - a, s - b, s - 
 ``abc``, ``area2``, ``r_sq`` (R^2) and ``sums`` (b + c, a + c, a + b).  Three
 ``Fraction`` sides are validated in, and cached from, the exact route's integers:
 ``ints`` (A, B, C) = ``lam`` (a, b, c) with lam the lcm of the denominators,
-``h`` = 16 area^2 of (A, B, C) and ``abc_sq`` = (ABC)^2.  A :class:`BaryPoint` of
-three ``Fraction`` weights keeps coprime integer weights in ``ints`` (else None).
+``h`` = 16 area^2 of (A, B, C), ``abc_sq`` = (ABC)^2 and ``twice`` = 2 lam (s - a,
+s - b, s - c) = (B + C - A, C + A - B, A + B - C).  A :class:`BaryPoint` of three
+``Fraction`` weights keeps coprime integer weights in ``ints`` (else None);
+:meth:`BaryPoint.from_ints` builds one from integer weights the caller already
+has, which is how the exact center generators skip clearing the Fractions.
 
 Records: a frozen dataclass only where construction validates or builds a
 context (TriangleSides, BaryPoint, CenterSpec, FuzzConfig), a mutable one for
@@ -69,7 +72,7 @@ class TriangleSides:
     b: Scalar
     c: Scalar
 
-    ints = lam = h = abc_sq = None  # not fields: no integer context
+    ints = lam = h = abc_sq = twice = None  # not fields: no integer context
 
     def __post_init__(self):
         a, b, c = self.a, self.b, self.c
@@ -120,7 +123,8 @@ class TriangleSides:
         setattr_(self, "r_sq", r_sq)
         setattr_(self, "sums", sums)
         if exact:  # after the shared names, in their order, so instances share keys
-            for item in zip(("ints", "lam", "h", "abc_sq"), ((x, y, z), lam, h, xyz ** 2)):
+            for item in zip(("ints", "lam", "h", "abc_sq", "twice"),
+                            ((x, y, z), lam, h, xyz ** 2, twice)):
                 setattr_(self, *item)
 
     def as_tuple(self):
@@ -151,6 +155,20 @@ class BaryPoint:
         if exact:
             g = math.gcd(x, y, z)
             object.__setattr__(self, "ints", (x // g, y // g, z // g))
+
+    @classmethod
+    def from_ints(cls, t1: Fraction, t2: Fraction, t3: Fraction, ints) -> "BaryPoint":
+        """BaryPoint(t1, t2, t3) for Fraction weights that are a positive multiple of
+        the integers ``ints``, which spares clearing their denominators."""
+        x, y, z = ints
+        if x + y + z == 0:
+            raise PointAtInfinity(_message("weights ({!r}, {!r}, {!r}) sum to zero", t1, t2, t3))
+        g = math.gcd(x, y, z)
+        point = object.__new__(cls)
+        # The fields, then ints: the constructor's key order.  One update costs
+        # less than the four object.__setattr__ calls the constructor makes.
+        point.__dict__.update(t1=t1, t2=t2, t3=t3, ints=(x // g, y // g, z // g))
+        return point
 
     def as_tuple(self):
         return (self.t1, self.t2, self.t3)
@@ -210,17 +228,26 @@ def pow_keep_exact(base, exponent):
     try:
         if exponent % 1 == 0:
             n = int(exponent)
-            if not isinstance(base, float) and abs(n) > 1:  # 0 and +-1 cannot grow the base
-                bits = max(base.numerator.bit_length(), base.denominator.bit_length()) - 1
-                digits = sys.get_int_max_str_digits()
-                if digits and bits * abs(n) > digits * _BITS_PER_DIGIT:
-                    raise GeometryError(
-                        _message(f"an exact power with exponent {{}} would pass the "
-                                 f"{digits}-digit limit", n))
+            if not isinstance(base, float):
+                refuse_huge_power(base, n)
             return base ** n
         return float(base) ** float(exponent)
     except OverflowError as exc:
         raise GeometryError(_message("{} ** {} leaves the float range", base, exponent)) from exc
+
+
+def past_digit_limit(bits: int, n: int) -> bool:
+    """Whether pow_keep_exact refuses an exact base with ``bits`` = max(bit length
+    of its numerator and denominator) - 1 raised to the integer n."""
+    digits = sys.get_int_max_str_digits()  # 0 and +-1 cannot grow the base
+    return abs(n) > 1 and digits > 0 and bits * abs(n) > digits * _BITS_PER_DIGIT
+
+
+def refuse_huge_power(base, n: int) -> None:
+    """pow_keep_exact's digit-limit test of the exact power base ** n."""
+    if past_digit_limit(max(base.numerator.bit_length(), base.denominator.bit_length()) - 1, n):
+        raise GeometryError(_message(f"an exact power with exponent {{}} would pass the "
+                                     f"{sys.get_int_max_str_digits()}-digit limit", n))
 
 
 def power_sum(sides: TriangleSides, exponent):
@@ -264,6 +291,15 @@ def _quadratic_form(n, a, b, c):
     """y z a^2 + z x b^2 + x y c^2 for n = (x, y, z): every squared distance."""
     x, y, z = n
     return y * z * (a * a) + z * x * (b * b) + x * y * (c * c)
+
+
+def _polar_form(u, v, a, b, c):
+    """The polarisation of _quadratic_form, which it must track term for term:
+    form(u + v) - form(u) - form(v), so form(p - q) = form(p) + form(q) - polar(p, q)."""
+    u1, u2, u3 = u
+    v1, v2, v3 = v
+    return ((u2 * v3 + u3 * v2) * (a * a) + (u3 * v1 + u1 * v3) * (b * b)
+            + (u1 * v2 + u2 * v1) * (c * c))
 
 
 def circum_power(t: BaryPoint, sides: TriangleSides):

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tribary import blundon, centers, kernel, oracle
@@ -275,6 +275,31 @@ class TestIntegerRoute:
         monkeypatch.setattr(blundon, "_clear", lambda *args: None)
         assert repr(routed) == repr(blundon.cos_angle_at_circumcenter(p, q, sides))
         assert repr(parts) == repr(blundon.general_cos_parts(p, q, sides))
+
+
+_WEIGHT = st.integers(-10**6, 10**6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.tuples(*[st.integers(1, 10**9)] * 3), st.tuples(*[_WEIGHT] * 3),
+       st.tuples(*[_WEIGHT] * 3))
+def test_polarised_clear_matches_the_quadratic_form(gaps, p, q):
+    """_clear forms F_D and M from F(P), F(Q) and the polar form; each equals its
+    definition through kernel._quadratic_form alone."""
+    assume(sum(p) != 0 and sum(q) != 0)
+    u, v, w = gaps  # the sides v + w, w + u, u + v always make a triangle
+    x, y, z = v + w, w + u, u + v
+    sides = TriangleSides(Fraction(x), Fraction(y), Fraction(z))
+    p, q = BaryPoint(*map(Fraction, p)), BaryPoint(*map(Fraction, q))
+    cleared = blundon._clear(p, q, sides)
+    (p1, p2, p3), (q1, q2, q3) = p.ints, q.ints
+    sp, sq = p1 + p2 + p3, q1 + q2 + q3
+    form = lambda n: kernel._quadratic_form(n, x, y, z)  # noqa: E731
+    n_p = sides.abc_sq * sp * sp - sides.h * form(p.ints)
+    n_q = sides.abc_sq * sq * sq - sides.h * form(q.ints)
+    f_d = form((sq * p1 - sp * q1, sq * p2 - sp * q2, sq * p3 - sp * q3))
+    assert (cleared.n_p, cleared.n_q, cleared.f_d) == (n_p, n_q, f_d)
+    assert cleared.m == n_p * sq * sq + n_q * sp * sp + sides.h * f_d
 
 
 HUGE_EQUILATERAL = TriangleSides(*[Fraction(10**200)] * 3)

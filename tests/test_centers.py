@@ -5,6 +5,7 @@ at (1, -2) and its distance to line BC equals the exradius 2; the incenter
 cevian foot on BC splits it 5 : 4 from B.
 """
 
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -102,6 +103,11 @@ class TestCevianRank:
         assert point.t1 == pytest.approx(a**0.5 * (b + c) ** -1.5)
         assert point.t2 == pytest.approx(b**0.5 * (a + c) ** -1.5)
         assert point.t3 == pytest.approx(c**0.5 * (a + b) ** -1.5)
+
+    def test_one_underflowing_weight_is_kept(self):
+        # (1e-9)^40 underflows to 0.0, but the largest weight is a normal float
+        point = centers.cevian_rank(40, 0, 0, TriangleSides(1.0, 1.0, 1e-9))
+        assert point.as_tuple() == (1.0, 1.0, 0.0)
 
     def test_integer_exponents_stay_rational(self):
         sides = TriangleSides(Fraction(3), Fraction(4), Fraction(5))
@@ -223,10 +229,18 @@ class TestResolve:
         assert point.as_tuple() == (Fraction(9), Fraction(16), Fraction(25))
 
 
+# (3/2, 2, 5/2) has the integer sides of (3, 4, 5) with lam = 2; the thin, the
+# near-equilateral and the equilateral triangle (whose cevian ranks keep the
+# Fraction powers) close the list.
 EXACT_SIDES = [
     TriangleSides(Fraction(3), Fraction(4), Fraction(5)),
     TriangleSides(Fraction(7, 3), Fraction(5, 2), Fraction(13, 6)),
     TriangleSides(Fraction(2, 3), Fraction(1000001, 1500000), Fraction(1, 1)),
+    TriangleSides(Fraction(3, 2), Fraction(2), Fraction(5, 2)),
+    TriangleSides(Fraction(7), Fraction(8), Fraction(13)),
+    TriangleSides(Fraction(1), Fraction(1), Fraction(199999, 100000)),
+    TriangleSides(Fraction(1), Fraction(1000001, 1000000), Fraction(999999, 1000000)),
+    TriangleSides(Fraction(2), Fraction(2), Fraction(2)),
 ]
 
 
@@ -236,8 +250,8 @@ def _documented_weights(spec: CenterSpec, sides: TriangleSides) -> tuple:
     s = (a + b + c) / 2
     if spec.kind == "cevian":
         k, l, m = spec.params
-        return (a**k * (s - a) ** l * (b + c) ** m, b**k * (s - b) ** l * (a + c) ** m,
-                c**k * (s - c) ** l * (a + b) ** m)
+        return tuple(kernel.pow_keep_exact(side, k) * kernel.pow_keep_exact(s - side, l)
+                     * kernel.pow_keep_exact(2 * s - side, m) for side in (a, b, c))
     vertex_weights = {
         "excenter": {"A": (-a, b, c), "B": (a, -b, c), "C": (a, b, -c)},
         "adjnagel": {"A": (s, c - s, b - s), "B": (c - s, s, a - s), "C": (b - s, a - s, s)},
@@ -249,6 +263,9 @@ def _documented_weights(spec: CenterSpec, sides: TriangleSides) -> tuple:
 
 
 class TestExactResolve:
+    """Exact generators build their points from the triangle's integer context;
+    each must be indistinguishable from the constructor's point of its weights."""
+
     SPECS = [CenterSpec(kind) for kind in ("incenter", "centroid", "nagel", "lemoine")] + [
         CenterSpec(kind, vertex=v) for kind in ("excenter", "adjnagel") for v in "ABC"
     ] + [CenterSpec("raw", params=(Fraction(-2, 7), Fraction(5, 3), Fraction(1)))]
@@ -260,24 +277,49 @@ class TestExactResolve:
 
     @pytest.mark.parametrize("sides", EXACT_SIDES)
     def test_cevian_ranks_equal_their_formula(self, sides):
-        for k in range(-3, 4):
-            for l in range(-3, 4):
-                for m in range(-3, 4):
-                    self._check(CenterSpec("cevian", params=(k, l, m)), sides)
+        grid = [(k, l, m) for k in range(-3, 4) for l in range(-3, 4) for m in range(-3, 4)]
+        for rank in grid + [tuple(map(Fraction, rank)) for rank in grid]:  # --exact reads Fractions
+            self._check(CenterSpec("cevian", params=rank), sides)
 
     @staticmethod
     def _check(spec, sides):
         expected = _documented_weights(spec, sides)
-        point = resolve(spec, sides)
+        point, reference = resolve(spec, sides), BaryPoint(*expected)
         assert point.as_tuple() == expected
         assert all(type(v) is Fraction for v in point.as_tuple())
+        assert repr(point) == repr(reference) and point.ints == reference.ints
+        assert point == reference and hash(point) == hash(reference)
+        assert list(vars(point)) == list(vars(reference)) == ["t1", "t2", "t3", "ints"]
+        assert pickle.dumps(point) == pickle.dumps(reference)
         total = sum(expected)
         assert point.normalized() == tuple(v / total for v in expected)
-        assert point.ints is not None
 
     def test_huge_exact_rank_is_refused(self):
-        with pytest.raises(GeometryError, match="digit limit"):
-            resolve(CenterSpec("cevian", params=(Fraction(10**4), 0, 0)), EXACT_SIDES[1])
+        for rank in (Fraction(10**4), 10**4):
+            with pytest.raises(GeometryError, match="digit limit"):
+                resolve(CenterSpec("cevian", params=(rank, 0, 0)), EXACT_SIDES[1])
+
+    @pytest.mark.parametrize("rank", [(10**4, 0, 0), (0, 0, -10**4), (2, 3000, 10**4),
+                                      (1, 10**5, 10**4), (3000, 0, 10**4)])
+    @pytest.mark.parametrize("sides", EXACT_SIDES[3:5], ids=["3/2,2,5/2", "7,8,13"])
+    def test_refusals_match_the_fraction_powers(self, rank, sides):
+        spec = CenterSpec("cevian", params=rank)
+        with pytest.raises(GeometryError) as expected:
+            _documented_weights(spec, sides)
+        with pytest.raises(GeometryError, match=re.escape(str(expected.value))):
+            resolve(spec, sides)
+
+    @pytest.mark.parametrize("sides, rank", [
+        (TriangleSides(Fraction(1), Fraction(1), Fraction(1)), (10**6, 0, 0)),  # a = 1
+        (TriangleSides(Fraction(2), Fraction(2), Fraction(2)), (0, -10**6, 0)),  # s - a = 1
+        (TriangleSides(*[Fraction(1, 2)] * 3), (0, 0, 10**6)),  # b + c = 1
+    ])
+    def test_unit_bases_take_any_rank(self, monkeypatch, sides, rank):
+        # Each unit Fraction base has the integer base 1 or 2, and 2 ** 10**6 is
+        # what the digit limit exists to refuse: equilateral ranks keep the Fractions.
+        monkeypatch.setattr(centers, "_integer_cevian_rank", None)
+        point = resolve(CenterSpec("cevian", params=rank), sides)
+        assert point.as_tuple() == (Fraction(1),) * 3 and point.ints == (1, 1, 1)
 
 
 class TestReader:

@@ -199,11 +199,15 @@ class TestCos:
         assert "error:" in err and "not finite" in err
 
     def test_underflowing_cevian_weights_exit_one(self, capsys):
-        # 3^-700, 4^-700 and 5^-700 each underflow to 0.0: no weights the user typed
-        code, out, err = run_cli(capsys, "cos", "--sides", "3,4,5",
-                                 "--p", "cevian:-700,0,0", "--q", "incenter")
-        assert (code, out) == (1, "")
-        assert err == "error: cevian weights leave the float range\n"
+        for argv in [
+            # 3^-700, 4^-700 and 5^-700 each underflow to 0.0: no weights the user typed
+            ("cos", "--sides", "3,4,5", "--p", "cevian:-700,0,0", "--q", "incenter"),
+            # 3^-675 and 3.0001^-675 are subnormal: normalized 0.514 0.486, not 0.506 0.494
+            ("center", "--sides", "3,3.0001,5", "--spec", "cevian:-675,0,0"),
+        ]:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == "error: cevian weights leave the float range\n"
 
     @pytest.mark.parametrize("argv", [
         ("cos", "--sides", "1e200,1e200,1e200", "--p", "incenter", "--q", "nagel"),
