@@ -84,9 +84,22 @@ def _to_float(value, name: str) -> float:
 
 
 def _legs(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
-    """(OP^2, OQ^2, PQ^2), the squared legs of the triangle POQ."""
-    return (sides.r_sq - kernel.circum_power(p, sides), sides.r_sq - kernel.circum_power(q, sides),
-            kernel.dist_sq_between(p, q, sides))
+    """(OP^2, OQ^2, PQ^2, OP^2 + OQ^2 - PQ^2, OP^2 OQ^2) on the generic route.  Raises past
+    the float range, and when float legs that are not 0 have a product below the normal
+    floats, which only Fraction sides reach: a float triangle's squared terms fit the range."""
+    try:
+        op_sq = sides.r_sq - kernel.circum_power(p, sides)
+        oq_sq = sides.r_sq - kernel.circum_power(q, sides)
+        pq_sq = kernel.dist_sq_between(p, q, sides)
+        middle, product = op_sq + oq_sq - pq_sq, op_sq * oq_sq
+        finite = abs(float(product)) < math.inf and abs(middle) < math.inf  # and each leg
+    except OverflowError:  # a Fraction past the float range met a float, or float()
+        finite = False
+    if not finite:
+        raise DegenerateTriangle("OP^2, OQ^2 or PQ^2 exceeds the float range")
+    if type(product) is float and abs(product) < sys.float_info.min and op_sq and oq_sq:
+        raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")
+    return op_sq, oq_sq, pq_sq, middle, product
 
 
 class _Cleared(NamedTuple):
@@ -101,10 +114,6 @@ class _Cleared(NamedTuple):
         PQ^2 = -F_D / (lam^2 sigma_P^2 sigma_Q^2),   F_D = F(sigma_Q P - sigma_P Q),
         OP^2 + OQ^2 - PQ^2 = M / (H lam^2 sigma_P^2 sigma_Q^2),
         M = N_P sigma_Q^2 + N_Q sigma_P^2 + H F_D.
-
-    With the polar form B(P, Q) = F(P + Q) - F(P) - F(Q) (kernel._polar_form),
-    F_D = sigma_Q^2 F(P) + sigma_P^2 F(Q) - sigma_P sigma_Q B(P, Q) reuses F(P)
-    and F(Q), and M = sigma_P sigma_Q (2 (ABC)^2 sigma_P sigma_Q - H B(P, Q)).
 
     Every field is a Python int; only the reported values become Fractions.
     """
@@ -159,15 +168,14 @@ def _clear(p: BaryPoint, q: BaryPoint, sides: TriangleSides) -> Optional[_Cleare
     if sides.ints is None or p.ints is None or q.ints is None:
         return None
     h, abc_sq, lam, (a, b, c) = sides.h, sides.abc_sq, sides.lam, sides.ints
-    p_ints, q_ints = p.ints, q.ints
-    sp, sq = sum(p_ints), sum(q_ints)
-    sp_sq, sq_sq, spq = sp * sp, sq * sq, sp * sq
-    f_p, f_q = kernel._quadratic_form(p_ints, a, b, c), kernel._quadratic_form(q_ints, a, b, c)
-    polar = kernel._polar_form(p_ints, q_ints, a, b, c)
-    n_p = abc_sq * sp_sq - h * f_p
-    n_q = abc_sq * sq_sq - h * f_q
-    f_d = sq_sq * f_p + sp_sq * f_q - spq * polar
-    m = spq * (2 * abc_sq * spq - h * polar)
+    (p1, p2, p3), (q1, q2, q3) = p.ints, q.ints
+    sp, sq = p1 + p2 + p3, q1 + q2 + q3
+    sp_sq, sq_sq = sp * sp, sq * sq
+    form = kernel._quadratic_form
+    n_p = abc_sq * sp_sq - h * form(p.ints, a, b, c)
+    n_q = abc_sq * sq_sq - h * form(q.ints, a, b, c)
+    f_d = form((sq * p1 - sp * q1, sq * p2 - sp * q2, sq * p3 - sp * q3), a, b, c)
+    m = n_p * sq_sq + n_q * sp_sq + h * f_d
     return _Cleared(abc_sq, h * lam * lam, lam * lam, sp_sq, sq_sq, n_p, n_q, f_d, m)
 
 
@@ -181,8 +189,8 @@ def general_cos_parts(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
     if c is not None:
         den = c.leg_den * c.sp_sq * c.sq_sq
         return Fraction(c.m, den), Fraction(4 * c.n_p * c.n_q, den * c.leg_den)
-    op_sq, oq_sq, pq_sq = _legs(p, q, sides)
-    return op_sq + oq_sq - pq_sq, 4 * op_sq * oq_sq
+    *_, middle, product = _legs(p, q, sides)
+    return middle, 4 * product
 
 
 def cos_angle_at_circumcenter(p: BaryPoint, q: BaryPoint, sides: TriangleSides) -> AngleReport:
@@ -197,19 +205,12 @@ def cos_angle_at_circumcenter(p: BaryPoint, q: BaryPoint, sides: TriangleSides) 
     cleared = _clear(p, q, sides)
     if cleared is not None:
         return cleared.report()
-    try:
-        op_sq, oq_sq, pq_sq = _legs(p, q, sides)
-        middle = op_sq + oq_sq - pq_sq
-        product = op_sq * oq_sq
-        upper = 2.0 * math.sqrt(max(float(product), 0.0))
-    except OverflowError:  # a Fraction past the float range met a float
-        middle = product = math.inf
-    if not (abs(product) < math.inf and abs(middle) < math.inf):  # catches a non-finite leg too
-        raise DegenerateTriangle("OP^2, OQ^2 or PQ^2 exceeds the float range")
+    op_sq, oq_sq, pq_sq, middle, product = _legs(p, q, sides)
+    upper = 2.0 * math.sqrt(max(float(product), 0.0))
     bounds = BoundTriple(-upper, middle, upper)
     if product <= (EPS_ANGLE * EPS_ANGLE) * sides.r_sq * sides.r_sq:
         return AngleReport(None, op_sq, oq_sq, pq_sq, bounds, CLASS_UNDEFINED)
-    if upper == 0.0:  # only an exact product can underflow here
+    if product < sys.float_info.min:  # an exact product, which _legs lets through
         raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")
     cos_value = _clamp(float(middle) / upper)
     if 1.0 - cos_value <= EPS_COLLINEAR:
@@ -351,11 +352,7 @@ def rank_point_circum_power(k, sides: TriangleSides):
 
 def _rank_normalized(k, sides: TriangleSides):
     s_k = kernel.power_sum(sides, k)
-    return (
-        kernel.pow_keep_exact(sides.a, k) / s_k,
-        kernel.pow_keep_exact(sides.b, k) / s_k,
-        kernel.pow_keep_exact(sides.c, k) / s_k,
-    )
+    return tuple(kernel.pow_keep_exact(side, k) / s_k for side in sides.as_tuple())
 
 
 def rank_pair_parts(k1, k2, sides: TriangleSides):
@@ -389,6 +386,8 @@ def rank_pair_cos(k1, k2, sides: TriangleSides) -> float:
     float_radicand = _to_float(radicand, "OP^2 OQ^2")
     if radicand <= 4 * (EPS_ANGLE * EPS_ANGLE) * r_sq * r_sq:
         raise UndefinedAngle(f"rank ({k1}, {k2}) legs vanish at the circumcenter")
+    if float_radicand < sys.float_info.min:  # only an exact radicand gets here
+        raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")
     return _clamp(float(numerator) / math.sqrt(float_radicand))
 
 
@@ -479,14 +478,26 @@ def triple_cevian_cos(p1: BaryPoint, p2: BaryPoint, p3: BaryPoint, sides: Triang
         d12 = kernel.dist_sq_between(p1, p2, sides)
         d23 = kernel.dist_sq_between(p2, p3, sides)
         d31 = kernel.dist_sq_between(p3, p1, sides)
-        numerator, product = float(d12 + d23 - d31), float(d12) * float(d23)
-    except OverflowError:  # a Fraction past the float range met a float or float()
+        numerator = d12 + d23 - d31
+    except OverflowError:  # a Fraction past the float range met a float
+        numerator = d12 = d23 = d31 = math.inf
+    return _clamp(_vertex_cos(numerator, d12, d23, min(d12, d23, d31), sides))
+
+
+def _vertex_cos(numerator, d12, d23, closest, sides: TriangleSides) -> float:
+    """numerator / (2 sqrt(d12 d23)) in floats.  Raises, in this order, past the float
+    range, for a closest squared distance that vanishes, and when d12 d23 underflows."""
+    try:
+        numerator, product = float(numerator), float(d12) * float(d23)
+    except OverflowError:  # an exact value past the float range
         numerator = product = math.inf
     if not (abs(product) < math.inf and abs(numerator) < math.inf):  # catches a non-finite leg too
         raise DegenerateTriangle("a squared distance between the points exceeds the float range")
-    if min(d12, d23, d31) <= EPS_DISTINCT * _to_float(sides.r_sq, "R^2"):
+    if closest <= EPS_DISTINCT * _to_float(sides.r_sq, "R^2"):
         raise DegenerateVertexAngle("two of the three points coincide")
-    return _clamp(numerator / (2.0 * math.sqrt(product)))
+    if product < sys.float_info.min:  # only exact legs, past the test above, get here
+        raise DegenerateTriangle("the product of two squared distances underflows the float range")
+    return numerator / (2.0 * math.sqrt(product))
 
 
 def triple_cevian_cos_variant(
@@ -506,11 +517,9 @@ def triple_cevian_cos_variant(
     a_sq, b_sq, c_sq = kernel.side_squares(sides)
     d12 = -(be12 * ga12 * a_sq + ga12 * al12 * b_sq + al12 * be12 * c_sq)
     d23 = -(be23 * ga23 * a_sq + ga23 * al23 * b_sq + al23 * be23 * c_sq)
-    if min(d12, d23) <= EPS_DISTINCT * _to_float(sides.r_sq, "R^2"):
-        raise DegenerateVertexAngle("two of the three points coincide")
     numerator = (
         -a_sq * (be12 * ga12 + be23 * ga23 - be31 * ga31)
         - b_sq * (ga12 * al12 + ga23 * al23 - ga31 * al31)
         + c_sq * (al12 * be12 + al23 * be23 - al31 * be31)
     )
-    return float(numerator) / (2.0 * math.sqrt(float(d12) * float(d23)))
+    return _vertex_cos(numerator, d12, d23, min(d12, d23), sides)

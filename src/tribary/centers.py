@@ -152,11 +152,10 @@ def cevian_rank(k, l, m, sides: TriangleSides) -> BaryPoint:
         return _integer_cevian_rank(int(k), int(l), int(m), sides)
     a, b, c = sides.as_tuple()
     gap_a, gap_b, gap_c = sides.gaps
-    sum_a, sum_b, sum_c = sides.sums
     try:  # an exact factor times a float one is a float, and may not fit
-        w_a = pow_keep_exact(a, k) * pow_keep_exact(gap_a, l) * pow_keep_exact(sum_a, m)
-        w_b = pow_keep_exact(b, k) * pow_keep_exact(gap_b, l) * pow_keep_exact(sum_b, m)
-        w_c = pow_keep_exact(c, k) * pow_keep_exact(gap_c, l) * pow_keep_exact(sum_c, m)
+        w_a = pow_keep_exact(a, k) * pow_keep_exact(gap_a, l) * pow_keep_exact(b + c, m)
+        w_b = pow_keep_exact(b, k) * pow_keep_exact(gap_b, l) * pow_keep_exact(a + c, m)
+        w_c = pow_keep_exact(c, k) * pow_keep_exact(gap_c, l) * pow_keep_exact(a + b, m)
     except OverflowError as exc:
         raise GeometryError("cevian weights leave the float range") from exc
     # Positive bases: float weights can only underflow, and subnormal ones lose digits.
@@ -181,10 +180,10 @@ def _integer_cevian_rank(k: int, l: int, m: int, sides: TriangleSides) -> BaryPo
     # 2 lam, so pow_keep_exact's digit-limit test refuses none below this bound.
     bound = max(x + y + z, 2 * sides.lam).bit_length() - 1
     if past_digit_limit(bound, max(abs(k), abs(l), abs(m))):
-        for i, a in enumerate(sides.as_tuple()):  # its refusals, in its order
+        for a, gap in zip(sides.as_tuple(), sides.gaps):  # its refusals, in its order
             refuse_huge_power(a, k)
-            refuse_huge_power(sides.gaps[i], l)
-            refuse_huge_power(sides.sums[i], m)
+            refuse_huge_power(gap, l)
+            refuse_huge_power(2 * sides.s - a, m)  # b + c for a, and so on
     n_a = n_b = n_c = top = den = 1
     g_a, g_b, g_c = sides.twice
     for b_a, b_b, b_c, e in ((x, y, z, k), (g_a, g_b, g_c, l), (y + z, x + z, x + y, m)):
@@ -299,6 +298,8 @@ def parse_sides(cells, exact: bool = False) -> TriangleSides:
     """TriangleSides from three number texts.  Exact sides must also make a
     valid float triangle, since every exact command still reports floats."""
     values = [parse_number(cell, exact) for cell in cells]
+    if len(values) != 3:
+        raise InputError(f"expected three side lengths, got {len(values)}")
     if exact:
         float_sides(values)
     return TriangleSides(*values)

@@ -10,14 +10,14 @@ else that of :func:`float_sides`, the validated float image of any sides.
 
 Triangles and points build a context at construction, outside ``==``, ``hash``
 and ``repr``.  :class:`TriangleSides` caches ``s``, ``gaps`` (s - a, s - b, s - c),
-``abc``, ``area2``, ``r_sq`` (R^2) and ``sums`` (b + c, a + c, a + b).  Three
-``Fraction`` sides are validated in, and cached from, the exact route's integers:
-``ints`` (A, B, C) = ``lam`` (a, b, c) with lam the lcm of the denominators,
-``h`` = 16 area^2 of (A, B, C), ``abc_sq`` = (ABC)^2 and ``twice`` = 2 lam (s - a,
-s - b, s - c) = (B + C - A, C + A - B, A + B - C).  A :class:`BaryPoint` of three
-``Fraction`` weights keeps coprime integer weights in ``ints`` (else None);
-:meth:`BaryPoint.from_ints` builds one from integer weights the caller already
-has, which is how the exact center generators skip clearing the Fractions.
+``abc``, ``area2`` and ``r_sq`` (R^2).  Three ``Fraction`` sides are validated
+in, and cached from, the exact route's integers: ``ints`` (A, B, C) = ``lam``
+(a, b, c) with lam the lcm of the denominators, ``h`` = 16 area^2 of (A, B, C),
+``abc_sq`` = (ABC)^2 and ``twice`` = 2 lam (s - a, s - b, s - c) = (B + C - A,
+C + A - B, A + B - C).  A :class:`BaryPoint` of three ``Fraction`` weights keeps
+coprime integer weights in ``ints`` (else None); :meth:`BaryPoint.from_ints`
+builds one from integer weights the caller already has, which is how the exact
+center generators skip clearing the Fractions.
 
 Records: a frozen dataclass only where construction validates or builds a
 context (TriangleSides, BaryPoint, CenterSpec, FuzzConfig), a mutable one for
@@ -100,28 +100,25 @@ class TriangleSides:
             s, gaps = Fraction(perimeter, half), tuple(Fraction(g, half) for g in twice)
             abc, area2 = Fraction(xyz, lam_sq * lam), Fraction(h, 16 * lam_sq * lam_sq)
             r_sq = Fraction(xyz ** 2, h * lam_sq)
-            sums = (Fraction(y + z, lam), Fraction(x + z, lam), Fraction(x + y, lam))
         else:
             s = perimeter / 2
             gaps = (s - a, s - b, s - c)
-            abc = a * b * c
-            area2 = s * gaps[0] * gaps[1] * gaps[2]
-            if isinstance(perimeter, float):
-                if not (0 < abc * abc < math.inf and 0 < 16 * area2 < math.inf):
-                    raise DegenerateTriangle(
-                        f"sides ({a}, {b}, {c}) leave abc^2 or 16 area^2 outside the float range")
-            try:
+            try:  # int sides, or Fraction sides that meet a float one, past the float range
+                abc = a * b * c
+                area2 = s * gaps[0] * gaps[1] * gaps[2]
+                if isinstance(perimeter, float):
+                    if not (0 < abc * abc < math.inf and 0 < 16 * area2 < math.inf):
+                        raise DegenerateTriangle(f"sides ({a}, {b}, {c}) leave abc^2 or "
+                                                 "16 area^2 outside the float range")
                 r_sq = abc * abc / (16 * area2)
-            except OverflowError as exc:  # int sides past the float range
+            except OverflowError as exc:
                 raise DegenerateTriangle("sides exceed the float range") from exc
-            sums = (b + c, a + c, a + b)
         setattr_ = object.__setattr__  # a loop costs more; vars(self) slows every read
         setattr_(self, "s", s)
         setattr_(self, "gaps", gaps)
         setattr_(self, "abc", abc)
         setattr_(self, "area2", area2)
         setattr_(self, "r_sq", r_sq)
-        setattr_(self, "sums", sums)
         if exact:  # after the shared names, in their order, so instances share keys
             for item in zip(("ints", "lam", "h", "abc_sq", "twice"),
                             ((x, y, z), lam, h, xyz ** 2, twice)):
@@ -291,15 +288,6 @@ def _quadratic_form(n, a, b, c):
     """y z a^2 + z x b^2 + x y c^2 for n = (x, y, z): every squared distance."""
     x, y, z = n
     return y * z * (a * a) + z * x * (b * b) + x * y * (c * c)
-
-
-def _polar_form(u, v, a, b, c):
-    """The polarisation of _quadratic_form, which it must track term for term:
-    form(u + v) - form(u) - form(v), so form(p - q) = form(p) + form(q) - polar(p, q)."""
-    u1, u2, u3 = u
-    v1, v2, v3 = v
-    return ((u2 * v3 + u3 * v2) * (a * a) + (u3 * v1 + u1 * v3) * (b * b)
-            + (u1 * v2 + u2 * v1) * (c * c))
 
 
 def circum_power(t: BaryPoint, sides: TriangleSides):

@@ -136,10 +136,10 @@ class TestAngleReport:
     @pytest.mark.parametrize("p", [BaryPoint(1e200, -1e200, 1.0), BaryPoint(1e308, -1e308, 1.0)])
     def test_float_legs_outside_float_range_raise(self, p):
         # OP^2 overflows to inf and the middle to nan; clamping nan once reported cos 1.0
-        with pytest.raises(DegenerateTriangle, match="float range"):
-            blundon.cos_angle_at_circumcenter(p, INCENTER, RIGHT)
-        with pytest.raises(DegenerateTriangle, match="float range"):
-            blundon.blundon_bounds(p, INCENTER, RIGHT)
+        for call in (blundon.cos_angle_at_circumcenter, blundon.blundon_bounds,
+                     blundon.general_cos_parts):
+            with pytest.raises(DegenerateTriangle, match="float range"):
+                call(p, INCENTER, RIGHT)
 
     @pytest.mark.parametrize("sides, delta, want", [
         (EXACT_RIGHT, Fraction(1, 10**6) * (1 - Fraction(1, 10**9)), blundon.CLASS_UNDEFINED),
@@ -283,9 +283,9 @@ _WEIGHT = st.integers(-10**6, 10**6)
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.tuples(*[st.integers(1, 10**9)] * 3), st.tuples(*[_WEIGHT] * 3),
        st.tuples(*[_WEIGHT] * 3))
-def test_polarised_clear_matches_the_quadratic_form(gaps, p, q):
-    """_clear forms F_D and M from F(P), F(Q) and the polar form; each equals its
-    definition through kernel._quadratic_form alone."""
+def test_clear_matches_the_quadratic_form(gaps, p, q):
+    """_clear's N_P, N_Q, F_D and M equal their definitions in the _Cleared
+    docstring, each written here through kernel._quadratic_form alone."""
     assume(sum(p) != 0 and sum(q) != 0)
     u, v, w = gaps  # the sides v + w, w + u, u + v always make a triangle
     x, y, z = v + w, w + u, u + v
@@ -336,6 +336,62 @@ def test_exact_r_sq_past_the_float_range(sides, call, outcome):
             call(sides)
     else:
         assert call(sides) == outcome
+
+
+def _tiny(scale):
+    return TriangleSides(*(Fraction(v, scale) for v in (3, 4, 5)))
+
+
+def _triple(function, first=centers.incenter):
+    return lambda s: function(first(s), centers.centroid(s), centers.nagel_point(s), s)
+
+
+_HALF_RANK = lambda s: centers.cevian_rank(Fraction(1, 2), 0, 0, s)  # noqa: E731  float weights
+_UNDERFLOW = "OP^2 OQ^2 underflows the float range"
+_LEGS_OVERFLOW = "OP^2, OQ^2 or PQ^2 exceeds the float range"
+_DISTANCE_OVERFLOW = "a squared distance between the points exceeds the float range"
+_PRODUCT_UNDERFLOW = "the product of two squared distances underflows the float range"
+
+
+@pytest.mark.parametrize("sides, call, message", [
+    (_tiny(10**200), lambda s: blundon.rank_pair_cos(0, 1, s), _UNDERFLOW),
+    (_tiny(10**81), lambda s: blundon.rank_pair_cos(0, 1, s), _UNDERFLOW),  # a subnormal radicand
+    (_tiny(10**150), _triple(blundon.triple_cevian_cos), _PRODUCT_UNDERFLOW),
+    (_tiny(10**80), _triple(blundon.triple_cevian_cos, centers.lemoine_point), _PRODUCT_UNDERFLOW),
+    (_tiny(10**150), _triple(blundon.triple_cevian_cos_variant), _PRODUCT_UNDERFLOW),
+    (HUGE_SCALENE, lambda s: blundon.general_cos_parts(_HALF_RANK(s), centers.incenter(s), s),
+     _LEGS_OVERFLOW),
+    (HUGE_SCALENE, lambda s: blundon.cos_angle_at_circumcenter(
+        _HALF_RANK(s), centers.incenter(s), s), _LEGS_OVERFLOW),
+    (_tiny(10**100), lambda s: blundon.cos_angle_at_circumcenter(
+        BaryPoint(1, 0, 0), BaryPoint(0, 1, 0), s), _UNDERFLOW),
+    (_tiny(10**100), lambda s: blundon.cos_angle_at_circumcenter(
+        BaryPoint(Fraction(1), 0, 0), BaryPoint(0, Fraction(1), 0), s), _UNDERFLOW),
+    (_tiny(10**80), lambda s: blundon.cos_angle_at_circumcenter(
+        BaryPoint(1, 2, 3), BaryPoint(3, 1, 1), s), _UNDERFLOW),
+    (_tiny(10**80), lambda s: blundon.cos_angle_at_circumcenter(
+        BaryPoint(Fraction(1), 2, 3), BaryPoint(Fraction(3), 1, 1), s), _UNDERFLOW),
+    (LARGE_SCALENE, _triple(blundon.triple_cevian_cos_variant), _DISTANCE_OVERFLOW),
+    (LARGE_SCALENE, _triple(blundon.triple_cevian_cos), _DISTANCE_OVERFLOW),
+], ids=["rank_pair_cos", "rank_pair_cos subnormal", "triple_cevian_cos", "triple subnormal",
+        "triple_cevian_cos_variant", "general_cos_parts", "cos_angle_at_circumcenter",
+        "int weights", "fraction weights", "int weights subnormal", "mixed weights subnormal",
+        "variant_overflow", "triple_overflow"])
+def test_calls_near_the_float_range_raise(sides, call, message):
+    """Exact sides whose legs or distances leave the normal float range once they
+    become floats raise DegenerateTriangle naming it, never a bare arithmetic
+    error, a wrong 'undefined' or a value built from inf, 0.0 or a subnormal."""
+    with pytest.raises(DegenerateTriangle, match=re.escape(message)):
+        call(sides)
+
+
+def test_vanishing_legs_and_coincident_points_come_first_near_the_float_range():
+    tiny_equilateral = TriangleSides(*[Fraction(1, 10**200)] * 3)
+    with pytest.raises(UndefinedAngle):  # its radicand is exactly 0
+        blundon.rank_pair_cos(0, 1, tiny_equilateral)
+    for function in (blundon.triple_cevian_cos, blundon.triple_cevian_cos_variant):
+        with pytest.raises(DegenerateVertexAngle):
+            _triple(function, centers.centroid)(_tiny(10**150))
 
 
 class TestClassicalClosedForm:
@@ -627,6 +683,8 @@ class TestTripleCevian:
     def test_coincident_points_raise(self):
         with pytest.raises(DegenerateVertexAngle):
             blundon.triple_cevian_cos(INCENTER, BaryPoint(6.0, 8.0, 10.0), CENTROID, RIGHT)
+        with pytest.raises(DegenerateVertexAngle):
+            blundon.triple_cevian_cos_variant(INCENTER, INCENTER, NAGEL, RIGHT)
 
     @pytest.mark.parametrize("sides, p1", [
         (RIGHT, BaryPoint(1e200, -1e200, 1.0)),

@@ -76,6 +76,13 @@ class TestNamedCenters:
         assert sum(adj_b.as_tuple()) == pytest.approx(s - 4.0)
         assert sum(adj_c.as_tuple()) == pytest.approx(s - 5.0)
 
+    @pytest.mark.parametrize("generator", [centers.excenter, centers.adjoint_nagel])
+    @pytest.mark.parametrize("sides", [RIGHT, TriangleSides(Fraction(3), Fraction(4), Fraction(5))],
+                             ids=["float", "exact"])
+    def test_unknown_vertex_rejected(self, generator, sides):
+        with pytest.raises(CenterSpecError, match="vertex must be A, B, or C, got 'D'"):
+            generator("D", sides)
+
     def test_excenter_to_adjoint_distance(self):
         ex = centers.excenter("A", RIGHT)
         adj = centers.adjoint_nagel("A", RIGHT)
@@ -342,6 +349,11 @@ class TestReader:
     def test_exact_exponent_past_the_digit_limit_refused(self, text):
         with pytest.raises(GeometryError, match="exponent past the"):
             centers.parse_number(text, exact=True)
+
+    @pytest.mark.parametrize("cells", [["1", "2"], ["3", "4", "5", "6"]])
+    def test_sides_count_checked(self, cells):
+        with pytest.raises(InputError, match=f"expected three side lengths, got {len(cells)}"):
+            centers.parse_sides(cells)
 
     def test_exact_sides_checked_as_floats_first(self):
         assert centers.parse_sides(["3", "4", "5"], exact=True) == TriangleSides(

@@ -56,6 +56,14 @@ class TestValidation:
         with pytest.raises(DegenerateTriangle):
             TriangleSides(*sides)
 
+    @pytest.mark.parametrize("sides", [
+        (10**52, 10**52, 10**52),  # int sides: (abc)^2 / (16 area^2) is no float
+        (Fraction(3 * 10**200), Fraction(4 * 10**200), 5e200),  # abc meets a float
+    ])
+    def test_sides_past_the_float_range_say_so(self, sides):
+        with pytest.raises(DegenerateTriangle, match="sides exceed the float range"):
+            TriangleSides(*sides)
+
     def test_messages_survive_the_int_string_digit_limit(self):
         tiny = Fraction(1, 10**5000)
         with pytest.raises(DegenerateTriangle, match="triangle inequality fails"):
@@ -417,7 +425,6 @@ class TestContexts:
         assert (sides.s, sides.gaps) == (s, (s - a, s - b, s - c))
         assert (sides.abc, sides.area2) == (abc, area2)
         assert sides.r_sq == abc * abc / (16 * area2)
-        assert sides.sums == (b + c, a + c, a + b)
         assert sides.ints is sides.lam is sides.h is sides.abc_sq is None
 
     def test_exact_context_equals_fraction_evaluation(self):
@@ -430,14 +437,13 @@ class TestContexts:
             area2 = s * (s - a) * (s - b) * (s - c)
             assert (sides.s, sides.gaps, sides.abc) == (s, (s - a, s - b, s - c), a * b * c)
             assert sides.area2 == area2 and sides.r_sq == (a * b * c) ** 2 / (16 * area2)
-            assert sides.sums == (b + c, a + c, a + b)
             lam = sides.lam
             assert sides.ints == (a * lam, b * lam, c * lam)
             assert all(type(v) is int for v in sides.ints)
             assert sides.h == 16 * area2 * lam**4
             assert sides.abc_sq == (a * b * c * lam**3) ** 2
             assert all(type(v) is Fraction
-                       for v in (sides.s, *sides.gaps, sides.abc, sides.area2, sides.r_sq, *sides.sums))
+                       for v in (sides.s, *sides.gaps, sides.abc, sides.area2, sides.r_sq))
 
     @pytest.mark.parametrize("sides", [
         _boundary_sides(Fraction(1)),  # gap exactly at the bound: rejected
