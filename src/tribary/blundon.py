@@ -344,15 +344,12 @@ def exradii_identity_residual(sides: TriangleSides):
 # rank-exponent points: cos at O between the points with weights (a^k : b^k : c^k)
 
 
-def rank_point_circum_power(k, sides: TriangleSides):
-    """circum_power of the rank-k point, via power sums: (abc)^k S_{2-k} / S_k^2."""
-    s_k = kernel.power_sum(sides, k)
-    return kernel.pow_keep_exact(sides.abc, k) * kernel.power_sum(sides, 2 - k) / (s_k * s_k)
-
-
-def _rank_normalized(k, sides: TriangleSides):
-    s_k = kernel.power_sum(sides, k)
-    return tuple(kernel.pow_keep_exact(side, k) / s_k for side in sides.as_tuple())
+def _rank_point(k, sides: TriangleSides):
+    """(normalized weights, circum_power (abc)^k S_{2-k} / S_k^2) of the rank-k point."""
+    powers = [kernel.pow_keep_exact(side, k) for side in sides.as_tuple()]
+    s_k = powers[0] + powers[1] + powers[2]  # kernel.power_sum's order
+    power = kernel.pow_keep_exact(sides.abc, k) * kernel.power_sum(sides, 2 - k) / (s_k * s_k)
+    return tuple(side_k / s_k for side_k in powers), power
 
 
 def rank_pair_parts(k1, k2, sides: TriangleSides):
@@ -364,10 +361,10 @@ def rank_pair_parts(k1, k2, sides: TriangleSides):
     """
     # Re-derives the legs and the quadratic form on purpose: an independent cross-check.
     r_sq = kernel.circumradius_sq(sides)
-    op_sq = r_sq - rank_point_circum_power(k1, sides)
-    oq_sq = r_sq - rank_point_circum_power(k2, sides)
-    p1, p2, p3 = _rank_normalized(k1, sides)
-    q1, q2, q3 = _rank_normalized(k2, sides)
+    (p1, p2, p3), p_power = _rank_point(k1, sides)
+    op_sq = r_sq - p_power
+    (q1, q2, q3), q_power = _rank_point(k2, sides)
+    oq_sq = r_sq - q_power
     alpha, beta, gamma = p1 - q1, p2 - q2, p3 - q3
     a_sq, b_sq, c_sq = kernel.side_squares(sides)
     pq_sq = -(beta * gamma * a_sq + gamma * alpha * b_sq + alpha * beta * c_sq)

@@ -262,7 +262,8 @@ def parse_number(text: str, exact: bool = False):
     """The one reader of a number the user typed: a finite float, or in
     exact mode a Fraction (``1.5``, ``3/2`` and ``15e-1`` all work).
 
-    Malformed or non-finite text raises InputError.  Exact text whose decimal
+    Malformed or non-finite text raises InputError, and so does float text whose
+    value is a nonzero subnormal, which has lost digits.  Exact text whose decimal
     exponent passes the interpreter's int-string digit limit raises
     GeometryError before ``Fraction`` expands ``10 ** exponent``, the digit
     rule :func:`~tribary.kernel.pow_keep_exact` applies to powers.
@@ -276,6 +277,8 @@ def parse_number(text: str, exact: bool = False):
         raise InputError(f"bad number {text!r}") from exc
     if not exact and not math.isfinite(value):
         raise InputError(f"non-finite number {text!r}")
+    if not exact and 0 < abs(value) < _FLOAT_MIN:
+        raise InputError(f"subnormal number {text!r}")
     return value
 
 

@@ -176,7 +176,10 @@ class BaryPoint:
             total = sum(self.ints)
             return tuple(Fraction(t, total) for t in self.ints)
         total = self.t1 + self.t2 + self.t3
-        return (self.t1 / total, self.t2 / total, self.t3 / total)
+        try:  # an int or Fraction weight past the float range
+            return (self.t1 / total, self.t2 / total, self.t3 / total)
+        except OverflowError as exc:
+            raise GeometryError("normalized weights leave the float range") from exc
 
 
 class TriangleElements(NamedTuple):
@@ -223,10 +226,11 @@ def pow_keep_exact(base, exponent):
     so a power it lets through is under about twice the limit.
     """
     try:
+        if isinstance(base, float):  # int and Fraction exponents end in the same float power
+            return base ** exponent
         if exponent % 1 == 0:
             n = int(exponent)
-            if not isinstance(base, float):
-                refuse_huge_power(base, n)
+            refuse_huge_power(base, n)
             return base ** n
         return float(base) ** float(exponent)
     except OverflowError as exc:
@@ -290,20 +294,29 @@ def _quadratic_form(n, a, b, c):
     return y * z * (a * a) + z * x * (b * b) + x * y * (c * c)
 
 
+def _in_float_range(value, name: str):
+    """value; DegenerateTriangle when it is a float that is not finite."""
+    if type(value) is float and not abs(value) < math.inf:
+        raise DegenerateTriangle(f"{name} leaves the float range")
+    return value
+
+
 def circum_power(t: BaryPoint, sides: TriangleSides):
     """Power-like quantity R^2 - OP^2 for the point with weights t.
 
     Uses the cleared-denominator form, so zero weights (points on the
     sidelines) are fine.
     """
-    return _quadratic_form(t.normalized(), sides.a, sides.b, sides.c)
+    return _in_float_range(_quadratic_form(t.normalized(), sides.a, sides.b, sides.c),
+                           "R^2 - OP^2")
 
 
 def dist_sq_between(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
     """Squared distance between two finite barycentric points."""
     p1, p2, p3 = p.normalized()
     q1, q2, q3 = q.normalized()
-    return -_quadratic_form((p1 - q1, p2 - q2, p3 - q3), sides.a, sides.b, sides.c)
+    return _in_float_range(
+        -_quadratic_form((p1 - q1, p2 - q2, p3 - q3), sides.a, sides.b, sides.c), "PQ^2")
 
 
 def lagrange_point_dist_sq(t: BaryPoint, ma_sq, mb_sq, mc_sq, sides: TriangleSides):
@@ -314,7 +327,8 @@ def lagrange_point_dist_sq(t: BaryPoint, ma_sq, mb_sq, mc_sq, sides: TriangleSid
     form of the weighted-average identity, legal for zero weights.
     """
     n = t.normalized()
-    return n[0] * ma_sq + n[1] * mb_sq + n[2] * mc_sq - _quadratic_form(n, *sides.as_tuple())
+    return _in_float_range(
+        n[0] * ma_sq + n[1] * mb_sq + n[2] * mc_sq - _quadratic_form(n, *sides.as_tuple()), "MP^2")
 
 
 def bergstrom_bound(t: BaryPoint, sides: TriangleSides):

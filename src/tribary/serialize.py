@@ -95,6 +95,6 @@ def csv_cell(value) -> str:
     if isinstance(value, (bool, int, float, Fraction)):
         return format_number(value)
     text = str(value)
-    if any(ch in text for ch in ",\"\n"):
+    if any(ch in text for ch in ",\"\n\r"):
         return "\"" + text.replace("\"", "\"\"") + "\""
     return text

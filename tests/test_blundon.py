@@ -567,9 +567,9 @@ class TestDualFamily:
 
 class TestRankPairs:
     def test_rank_circum_power_matches_kernel(self):
-        assert blundon.rank_point_circum_power(1, RIGHT) == pytest.approx(5.0)
-        assert blundon.rank_point_circum_power(0, RIGHT) == pytest.approx(50.0 / 9.0)
-        assert blundon.rank_point_circum_power(2, RIGHT) == pytest.approx(4.32)
+        assert blundon._rank_point(1, RIGHT)[1] == pytest.approx(5.0)
+        assert blundon._rank_point(0, RIGHT)[1] == pytest.approx(50.0 / 9.0)
+        assert blundon._rank_point(2, RIGHT)[1] == pytest.approx(4.32)
 
     def test_rank_zero_one_fixture(self):
         assert blundon.rank_pair_cos(0, 1, RIGHT) == pytest.approx(0.9838699100999075, abs=1e-12)

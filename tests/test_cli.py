@@ -151,6 +151,46 @@ class TestCenter:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("spec", ["\tNagel\r", " Nagel\r", "nagel\n", "\x0bnagel\x0b"])
+    def test_spec_text_round_trips_through_csv_and_json(self, capsys, spec):
+        argv = ("center", "--sides", "3,4,5", "--spec", spec, "--format")
+        code, out, _ = run_cli(capsys, *argv, "csv")
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out, newline=""))
+        assert row[header.index("spec")] == spec
+        code, out, _ = run_cli(capsys, *argv, "json")
+        assert code == 0
+        assert json.loads(out)["spec"] == spec
+
+
+class TestSubnormalText:
+    """Float text whose value is a nonzero subnormal has lost digits: refused."""
+
+    @pytest.mark.parametrize("argv", [
+        ("center", "--sides", "3,4,5", "--spec", "raw:5e-324,7e-324,1e-323"),
+        ("cos", "--sides", "3,4,5", "--p", "raw:5e-324,7e-324,1e-323", "--q", "incenter"),
+        ("derive", "--sides", "3e-320,4e-320,5e-320"),
+        ("center", "--sides", "3,4,5", "--spec", "cevian:-1e-310,0,0"),
+        ("verify", "--count", "5", "--tolerance-scale", "1e-310"),
+    ])
+    def test_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "error:" in err
+
+    def test_corpus_cell_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_text("a,b,c\n3,4,5\n3e-320,4e-320,5e-320\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "verify", "--count", "2", "--corpus", str(path))
+        assert code == 2
+        assert "subnormal number '3e-320'" in err
+
+    def test_exact_mode_reads_the_same_text(self, capsys):
+        code, out, _ = run_cli(capsys, "center", "--exact", "--sides", "3,4,5",
+                               "--spec", "raw:5e-324,7e-324,1e-323", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["normalized"] == ["5/22", "7/22", "5/11"]
+
 
 class TestCos:
     def test_reference_angle(self, capsys):

@@ -81,6 +81,10 @@ class TestValidation:
         with pytest.raises(GeometryError):
             BaryPoint(1e308, 1e308, 1e308)
 
+    def test_zero_sum_integer_weights_rejected(self):
+        with pytest.raises(PointAtInfinity, match="sum to zero"):
+            BaryPoint.from_ints(Fraction(2), Fraction(-2), Fraction(0), (1, -1, 0))
+
     def test_rational_sides_accepted(self):
         sides = TriangleSides(Fraction(3), Fraction(4), Fraction(5))
         assert sides.s == Fraction(6)
@@ -206,6 +210,23 @@ class TestCircumPower:
         got = kernel.circum_power(point, sides)
         scale = max(1.0, abs(got), abs(expected))
         assert abs(got - expected) <= 1e-9 * scale
+
+
+_FAR = BaryPoint(1e200, -1e200, 1.0)  # finite weights with a squared leg past the float range
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: kernel.circum_power(BaryPoint(1e308, -1e308, 1e-300), RIGHT), DegenerateTriangle),
+    (lambda: kernel.dist_sq_between(_FAR, INCENTER, RIGHT), DegenerateTriangle),
+    (lambda: kernel.lagrange_point_dist_sq(_FAR, 1.0, 1.0, 1.0, RIGHT), DegenerateTriangle),
+    (lambda: BaryPoint(10**400, -10**400, 1).normalized(), GeometryError),
+    (lambda: kernel.circum_power(BaryPoint(10**400, -10**400, 1), RIGHT), GeometryError),
+], ids=["circum_power nan", "dist_sq_between inf", "lagrange inf", "normalized", "int weights"])
+def test_metrics_past_the_float_range_raise(call, error):
+    """A float metric that is not finite raises, never returns nan or inf, and
+    int weights whose quotients pass the float range raise a GeometryError."""
+    with pytest.raises(error, match="float range"):
+        call()
 
 
 class TestDistances:

@@ -1,5 +1,6 @@
 """Tests for the seeded fuzz verification harness."""
 
+import hashlib
 import os
 import random
 import threading
@@ -153,6 +154,13 @@ class TestRunFuzz:
     def test_repeat_runs_are_byte_identical(self):
         config = FuzzConfig(count=50, seed=11)
         assert run_fuzz(config).to_json() == run_fuzz(config).to_json()
+
+    def test_report_bytes_are_pinned(self):
+        """Refactors keep the report byte for byte; a change that alters it on
+        purpose updates this digest and says why."""
+        report = run_fuzz(FuzzConfig(count=200, seed=7)).to_json()
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "24efc073bc7ff482ca86cdb453de87a79543741ed63e1085d469945b9134581c")
 
     def test_seed_changes_output(self):
         base = run_fuzz(FuzzConfig(count=30, seed=1)).to_json()
