@@ -35,7 +35,11 @@ from .kernel import BaryPoint, TriangleElements, TriangleSides
 # Relative threshold (against R^2) below which a leg OP is numerically zero
 # and the angle at O carries no information.
 EPS_ANGLE = 1e-12
-_EPS_SQ_NUM, _EPS_SQ_DEN = (EPS_ANGLE * EPS_ANGLE).as_integer_ratio()  # the exact route's eps^2
+_EPS_SQ = EPS_ANGLE * EPS_ANGLE
+_EPS_SQ_NUM, _EPS_SQ_DEN = _EPS_SQ.as_integer_ratio()  # the exact route's eps^2
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
+_INF = math.inf
+_tuple_new = tuple.__new__
 
 # Threshold on 1 - |cos| for flagging the collinear equality cases.
 EPS_COLLINEAR = 1e-9
@@ -97,7 +101,7 @@ def _legs(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
         finite = False
     if not finite:
         raise DegenerateTriangle("OP^2, OQ^2 or PQ^2 exceeds the float range")
-    if type(product) is float and abs(product) < sys.float_info.min and op_sq and oq_sq:
+    if type(product) is float and abs(product) < _FLOAT_MIN and op_sq and oq_sq:
         raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")
     return op_sq, oq_sq, pq_sq, middle, product
 
@@ -143,14 +147,14 @@ class _Cleared(NamedTuple):
             raise DegenerateTriangle("OP^2 OQ^2 exceeds the float range") from exc
         upper = nearest = 2.0 * math.sqrt(max(quotient, 0.0))
         num, den = upper.as_integer_ratio()  # rounded outward: upper^2 >= 4 OP^2 OQ^2, exactly
-        while quotient >= sys.float_info.min and num * num * product_den < 4 * product * den * den:
+        while quotient >= _FLOAT_MIN and num * num * product_den < 4 * product * den * den:
             upper = math.nextafter(upper, math.inf)
             num, den = upper.as_integer_ratio()
         bounds = BoundTriple(-upper, middle, upper)
         # OP^2 OQ^2 <= eps^2 R^4 exactly, both sides times (H lam^2)^2 sigma_P^2 sigma_Q^2
         if product * _EPS_SQ_DEN <= _EPS_SQ_NUM * abc_sq * abc_sq * sp_sq * sq_sq:
             return AngleReport(None, op_sq, oq_sq, pq_sq, bounds, CLASS_UNDEFINED)
-        if quotient < sys.float_info.min:  # upper could not be rounded outward
+        if quotient < _FLOAT_MIN:  # upper could not be rounded outward
             raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")
         cos_value = _clamp(float(middle) / nearest)
         # middle^2 == 4 OP^2 OQ^2, both sides times (H lam^2 sigma_P^2 sigma_Q^2)^2
@@ -202,15 +206,71 @@ def cos_angle_at_circumcenter(p: BaryPoint, q: BaryPoint, sides: TriangleSides) 
     decides the collinear classifications exactly and rounds the outer bounds
     outward; other input classifies with the EPS_COLLINEAR threshold.
     """
-    cleared = _clear(p, q, sides)
-    if cleared is not None:
-        return cleared.report()
+    if sides.ints is not None:
+        cleared = _clear(p, q, sides)
+        return _legs_report(p, q, sides) if cleared is None else cleared.report()
+    a, b, c = sides.a, sides.b, sides.c
+    p1, p2, p3 = p.t1, p.t2, p.t3
+    q1, q2, q3 = q.t1, q.t2, q.t3
+    if not (float is type(a) is type(b) is type(c) is type(p1) is type(p2) is type(p3)
+            is type(q1) is type(q2) is type(q3)):
+        return _legs_report(p, q, sides)
+    # All floats: _legs_report in one pass, each point normalised once and each side
+    # squared once, with its range checks in its order and its messages.  An intentional
+    # duplicate of kernel.circum_power, kernel.dist_sq_between and _legs_report, held bit
+    # for bit to _legs_report by the tests.  -inf < x < inf is abs(x) < inf without a call;
+    # a product in (0, min) has raised before the undefined test, so nothing else can.
+    total = p1 + p2 + p3
+    n1, n2, n3 = p1 / total, p2 / total, p3 / total
+    total = q1 + q2 + q3
+    m1, m2, m3 = q1 / total, q2 / total, q3 / total
+    a_sq, b_sq, c_sq = a * a, b * b, c * c
+    r_sq = sides.r_sq
+    power = n2 * n3 * a_sq + n3 * n1 * b_sq + n1 * n2 * c_sq
+    if not -_INF < power < _INF:
+        raise DegenerateTriangle("R^2 - OP^2 leaves the float range")
+    op_sq = r_sq - power
+    power = m2 * m3 * a_sq + m3 * m1 * b_sq + m1 * m2 * c_sq
+    if not -_INF < power < _INF:
+        raise DegenerateTriangle("R^2 - OP^2 leaves the float range")
+    oq_sq = r_sq - power
+    d1, d2, d3 = n1 - m1, n2 - m2, n3 - m3
+    pq_sq = -(d2 * d3 * a_sq + d3 * d1 * b_sq + d1 * d2 * c_sq)
+    if not -_INF < pq_sq < _INF:
+        raise DegenerateTriangle("PQ^2 leaves the float range")
+    middle, product = op_sq + oq_sq - pq_sq, op_sq * oq_sq
+    if not (-_INF < product < _INF and -_INF < middle < _INF):
+        raise DegenerateTriangle("OP^2, OQ^2 or PQ^2 exceeds the float range")
+    if -_FLOAT_MIN < product < _FLOAT_MIN and op_sq and oq_sq:
+        raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")
+    upper = 2.0 * math.sqrt(product) if product >= 0.0 else 0.0  # max(product, 0.0) keeps -0.0
+    # tuple.__new__ skips the Python-level __new__ that AngleReport(...) and _make run
+    bounds = _tuple_new(BoundTriple, (-upper, middle, upper))
+    if product <= _EPS_SQ * r_sq * r_sq:
+        return _tuple_new(AngleReport, (None, op_sq, oq_sq, pq_sq, bounds, CLASS_UNDEFINED))
+    cos_value = middle / upper  # clamped as _clamp does, without its calls
+    if cos_value > 1.0:
+        cos_value = 1.0
+    elif cos_value < -1.0:
+        cos_value = -1.0
+    if 1.0 - cos_value <= EPS_COLLINEAR:
+        classification = CLASS_COLLINEAR_SAME_SIDE
+    elif 1.0 + cos_value <= EPS_COLLINEAR:
+        classification = CLASS_COLLINEAR_OPPOSITE_SIDE
+    else:
+        classification = CLASS_GENERIC
+    return _tuple_new(AngleReport, (cos_value, op_sq, oq_sq, pq_sq, bounds, classification))
+
+
+def _legs_report(p: BaryPoint, q: BaryPoint, sides: TriangleSides) -> AngleReport:
+    """cos_angle_at_circumcenter's report from _legs: the route of mixed input, and
+    the reference its all-float pass must equal."""
     op_sq, oq_sq, pq_sq, middle, product = _legs(p, q, sides)
     upper = 2.0 * math.sqrt(max(float(product), 0.0))
     bounds = BoundTriple(-upper, middle, upper)
-    if product <= (EPS_ANGLE * EPS_ANGLE) * sides.r_sq * sides.r_sq:
+    if product <= _EPS_SQ * sides.r_sq * sides.r_sq:
         return AngleReport(None, op_sq, oq_sq, pq_sq, bounds, CLASS_UNDEFINED)
-    if product < sys.float_info.min:  # an exact product, which _legs lets through
+    if product < _FLOAT_MIN:  # an exact product, which _legs lets through
         raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")
     cos_value = _clamp(float(middle) / upper)
     if 1.0 - cos_value <= EPS_COLLINEAR:
@@ -347,9 +407,20 @@ def exradii_identity_residual(sides: TriangleSides):
 def _rank_point(k, sides: TriangleSides):
     """(normalized weights, circum_power (abc)^k S_{2-k} / S_k^2) of the rank-k point."""
     powers = [kernel.pow_keep_exact(side, k) for side in sides.as_tuple()]
-    s_k = powers[0] + powers[1] + powers[2]  # kernel.power_sum's order
-    power = kernel.pow_keep_exact(sides.abc, k) * kernel.power_sum(sides, 2 - k) / (s_k * s_k)
-    return tuple(side_k / s_k for side_k in powers), power
+    try:  # an exact power past the float range can meet a float one
+        s_k = powers[0] + powers[1] + powers[2]  # kernel.power_sum's order
+        s_k_sq = s_k * s_k
+        weights = tuple(side_k / s_k for side_k in powers)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DegenerateTriangle(f"S_k of rank {k} leaves the float range") from exc
+    if not s_k_sq:  # float powers too small to square
+        raise DegenerateTriangle(f"S_k^2 of rank {k} underflows the float range")
+    try:
+        power = kernel.pow_keep_exact(sides.abc, k) * kernel.power_sum(sides, 2 - k) / s_k_sq
+    except OverflowError as exc:
+        raise DegenerateTriangle(
+            f"(abc)^k S_(2-k) / S_k^2 of rank {k} leaves the float range") from exc
+    return weights, power
 
 
 def rank_pair_parts(k1, k2, sides: TriangleSides):
@@ -381,9 +452,9 @@ def rank_pair_cos(k1, k2, sides: TriangleSides) -> float:
     r_sq = _to_float(sides.r_sq, "R^2")
     # Range first: past it 4 eps^2 R^4 is infinite too, and every radicand falls below it.
     float_radicand = _to_float(radicand, "OP^2 OQ^2")
-    if radicand <= 4 * (EPS_ANGLE * EPS_ANGLE) * r_sq * r_sq:
+    if radicand <= 4 * _EPS_SQ * r_sq * r_sq:
         raise UndefinedAngle(f"rank ({k1}, {k2}) legs vanish at the circumcenter")
-    if float_radicand < sys.float_info.min:  # only an exact radicand gets here
+    if float_radicand < _FLOAT_MIN:  # only an exact radicand gets here
         raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")
     return _clamp(float(numerator) / math.sqrt(float_radicand))
 
@@ -492,7 +563,7 @@ def _vertex_cos(numerator, d12, d23, closest, sides: TriangleSides) -> float:
         raise DegenerateTriangle("a squared distance between the points exceeds the float range")
     if closest <= EPS_DISTINCT * _to_float(sides.r_sq, "R^2"):
         raise DegenerateVertexAngle("two of the three points coincide")
-    if product < sys.float_info.min:  # only exact legs, past the test above, get here
+    if product < _FLOAT_MIN:  # only exact legs, past the test above, get here
         raise DegenerateTriangle("the product of two squared distances underflows the float range")
     return numerator / (2.0 * math.sqrt(product))
 

@@ -152,12 +152,21 @@ def cevian_rank(k, l, m, sides: TriangleSides) -> BaryPoint:
         return _integer_cevian_rank(int(k), int(l), int(m), sides)
     a, b, c = sides.as_tuple()
     gap_a, gap_b, gap_c = sides.gaps
-    try:  # an exact factor times a float one is a float, and may not fit
-        w_a = pow_keep_exact(a, k) * pow_keep_exact(gap_a, l) * pow_keep_exact(b + c, m)
-        w_b = pow_keep_exact(b, k) * pow_keep_exact(gap_b, l) * pow_keep_exact(a + c, m)
-        w_c = pow_keep_exact(c, k) * pow_keep_exact(gap_c, l) * pow_keep_exact(a + b, m)
-    except OverflowError as exc:
-        raise GeometryError("cevian weights leave the float range") from exc
+    w_a = None
+    if float is type(a) is type(b) is type(c):  # pow_keep_exact of a float base is base ** e
+        try:
+            w_a = a ** k * gap_a ** l * (b + c) ** m
+            w_b = b ** k * gap_b ** l * (a + c) ** m
+            w_c = c ** k * gap_c ** l * (a + b) ** m
+        except OverflowError:  # pow_keep_exact below names the base and exponent
+            w_a = None
+    if w_a is None:
+        try:  # an exact factor times a float one is a float, and may not fit
+            w_a = pow_keep_exact(a, k) * pow_keep_exact(gap_a, l) * pow_keep_exact(b + c, m)
+            w_b = pow_keep_exact(b, k) * pow_keep_exact(gap_b, l) * pow_keep_exact(a + c, m)
+            w_c = pow_keep_exact(c, k) * pow_keep_exact(gap_c, l) * pow_keep_exact(a + b, m)
+        except OverflowError as exc:
+            raise GeometryError("cevian weights leave the float range") from exc
     # Positive bases: float weights can only underflow, and subnormal ones lose digits.
     if w_a < _FLOAT_MIN and w_b < _FLOAT_MIN and w_c < _FLOAT_MIN and isinstance(w_a, float):
         raise GeometryError("cevian weights leave the float range")

@@ -23,6 +23,9 @@ Records: a frozen dataclass only where construction validates or builds a
 context (TriangleSides, BaryPoint, CenterSpec, FuzzConfig), a mutable one for
 CheckAccumulator, and a NamedTuple for every other record (BoundTriple,
 AngleReport, _Cleared, TriangleElements, Placement, VerificationReport).
+BaryPoint's ``__init__`` is written by hand (``init=False``): it validates
+before it sets the fields, and sets them with ``object.__setattr__``, never
+through ``__dict__``, in the order the generated one would.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ class TriangleSides:
         return (self.a, self.b, self.c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BaryPoint:
     """Homogeneous weights t1 : t2 : t3 with nonzero sum, and their context."""
 
@@ -138,20 +141,31 @@ class BaryPoint:
 
     ints = None  # not a field: no integer context
 
-    def __post_init__(self):
-        t1, t2, t3 = self.t1, self.t2, self.t3
+    def __init__(self, t1: Scalar, t2: Scalar, t3: Scalar):
         exact = Fraction is type(t1) is type(t2) is type(t3)
         if exact:
             (x, y, z), _ = _cleared(t1, t2, t3)
-        total = x + y + z if exact else t1 + t2 + t3
+            total = x + y + z
+        else:
+            try:
+                total = t1 + t2 + t3
+            except OverflowError:  # a Fraction past the float range met a float
+                total = math.inf
         if total == 0:
             raise PointAtInfinity(_message("weights ({!r}, {!r}, {!r}) sum to zero", t1, t2, t3))
         if not abs(total) < math.inf:
             raise GeometryError(_message(
                 "weights ({!r}, {!r}, {!r}) overflow: their sum is not finite", t1, t2, t3))
+        # The fields, then ints, each through object.__setattr__: writing
+        # self.__dict__ would materialise it, and 3.11 then stops specialising
+        # the attribute reads of every later use of the point.
+        setattr_ = object.__setattr__
+        setattr_(self, "t1", t1)
+        setattr_(self, "t2", t2)
+        setattr_(self, "t3", t3)
         if exact:
             g = math.gcd(x, y, z)
-            object.__setattr__(self, "ints", (x // g, y // g, z // g))
+            setattr_(self, "ints", (x // g, y // g, z // g))
 
     @classmethod
     def from_ints(cls, t1: Fraction, t2: Fraction, t3: Fraction, ints) -> "BaryPoint":

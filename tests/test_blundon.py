@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tribary import blundon, centers, kernel, oracle
@@ -20,6 +20,7 @@ from tribary.errors import (
     DegenerateTriangle,
     DegenerateVertexAngle,
     EquilateralDegenerate,
+    GeometryError,
     UndefinedAngle,
 )
 from tribary.kernel import BaryPoint, TriangleSides
@@ -300,6 +301,79 @@ def test_clear_matches_the_quadratic_form(gaps, p, q):
     f_d = form((sq * p1 - sp * q1, sq * p2 - sp * q2, sq * p3 - sp * q3))
     assert (cleared.n_p, cleared.n_q, cleared.f_d) == (n_p, n_q, f_d)
     assert cleared.m == n_p * sq * sq + n_q * sp * sp + sides.h * f_d
+
+
+@st.composite
+def _float_triangle(draw):
+    """Float sides v + w, w + u, u + v, some nearly degenerate, scaled by 10**-50 .. 10**60."""
+    u, v, w = (draw(st.floats(1e-9, 1.0)) for _ in range(3))
+    scale = 10.0 ** draw(st.integers(-50, 60))
+    return ((v + w) * scale, (w + u) * scale, (u + v) * scale)
+
+
+@st.composite
+def _float_weights(draw):
+    """Float weights: plain, nearly cancelling, near 1e200, with a zero, or with two
+    weights near 1e200 that cancel, which puts the legs past the float range."""
+    kind = draw(st.integers(0, 4))
+    w = [draw(st.floats(-2.0, 2.0)) for _ in range(3)]
+    if kind == 1:
+        w[2] = draw(st.floats(-1e-9, 1e-9)) - (w[0] + w[1])
+    elif kind == 2:
+        w = [x * 1e200 for x in w]
+    elif kind == 3:
+        w[draw(st.integers(0, 2))] = 0.0
+    elif kind == 4:
+        w[0] *= 1e200
+        w[1] = -w[0] * (1.0 + draw(st.floats(-1e-12, 1e-12)))
+    return tuple(w)
+
+
+def _outcome(route, *args):
+    """repr of the report, or the type and message of what it raised."""
+    try:
+        return repr(route(*args))
+    except Exception as exc:  # noqa: BLE001 - both routes must raise alike
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_float_triangle(), _float_weights(), _float_weights())
+@example((3.0, 4.0, 5.0), (1e200, -1e200, 1.0), (3.0, 4.0, 5.0))  # OP^2 past the float range
+@example((3e-50, 4e-50, 5e-50), (1e154, -1e154, 1.0), (-1e154, 1e154, 1.0))  # PQ^2 past it
+@example((3.0, 4.0, 5.0), (1e100, -1e100, 1.0), (1e100, -1e100, 1.0))  # OP^2 OQ^2 past it
+@example((3.0, 4.0, 5.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0))  # a vertex with itself
+@example((2.0, 2.0, 2.0), (1.0, 1.0, 1.0), (0.0, 1.0, 1.0))  # O itself: undefined
+def test_all_float_report_equals_the_legs_route(abc, p, q):
+    """The all-float pass of cos_angle_at_circumcenter is bit for bit _legs_report,
+    the route of mixed input: the same repr, or the same exception and message."""
+    try:
+        sides, p, q = TriangleSides(*abc), BaryPoint(*p), BaryPoint(*q)
+    except GeometryError:
+        assume(False)
+    assert _outcome(blundon.cos_angle_at_circumcenter, p, q, sides) == _outcome(
+        blundon._legs_report, p, q, sides)
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls; returns the count list."""
+    calls, original = [], getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_all_float_report_skips_the_kernel_metrics(monkeypatch):
+    powers = _counted(monkeypatch, kernel, "circum_power")
+    distances = _counted(monkeypatch, kernel, "dist_sq_between")
+    blundon.cos_angle_at_circumcenter(INCENTER, NAGEL, RIGHT)
+    assert (len(powers), len(distances)) == (0, 0)
+    blundon.cos_angle_at_circumcenter(BaryPoint(3, 4, 5), NAGEL, RIGHT)  # int weights: _legs
+    assert (len(powers), len(distances)) == (2, 1)
 
 
 HUGE_EQUILATERAL = TriangleSides(*[Fraction(10**200)] * 3)
@@ -607,6 +681,19 @@ class TestRankPairs:
             assert blundon.rank_pair_cos(k1, k2, sides) == pytest.approx(
                 report.cos_value, abs=1e-9
             )
+
+    @pytest.mark.parametrize("k1, k2, sides, message", [
+        (1100, 0, TriangleSides(0.627892047155789, 0.6679021651038586, 0.7042057877403525),
+         "S_k^2 of rank 1100 underflows the float range"),
+        (-400, 0, TriangleSides(Fraction(3), 4.0, 5),
+         "S_k^2 of rank -400 underflows the float range"),
+        (-3, 700, TriangleSides(3, 4, 5),
+         "(abc)^k S_(2-k) / S_k^2 of rank 700 leaves the float range"),
+    ], ids=["float sides", "mixed sides", "int sides"])
+    def test_rank_points_past_the_float_range_raise(self, k1, k2, sides, message):
+        # these once ended in a bare ZeroDivisionError or OverflowError
+        with pytest.raises(DegenerateTriangle, match=re.escape(message)):
+            blundon.rank_pair_cos(k1, k2, sides)
 
     def test_matches_oracle(self):
         got = blundon.rank_pair_cos(0, 2, RIGHT)

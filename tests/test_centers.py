@@ -8,10 +8,13 @@ cevian foot on BC splits it 5 : 4 from B.
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tribary import centers, cli, kernel, oracle
 from tribary.centers import CenterSpec, parse_center_spec, resolve
@@ -129,6 +132,60 @@ class TestCevianRank:
             Fraction(1, 3),
             Fraction(1, 3),
         )
+
+
+def _per_factor_cevian(k, l, m, sides: TriangleSides) -> BaryPoint:
+    """cevian_rank on float sides with one pow_keep_exact per factor: the route
+    the single-expression weights must equal."""
+    (a, b, c), gaps, power = sides.as_tuple(), sides.gaps, kernel.pow_keep_exact
+    weights = [power(side, k) * power(gap, l) * power(rest, m)
+               for side, gap, rest in zip((a, b, c), gaps, (b + c, a + c, a + b))]
+    if all(w < sys.float_info.min for w in weights):
+        raise GeometryError("cevian weights leave the float range")
+    return BaryPoint(*weights)
+
+
+_RANK = st.one_of(st.integers(-3, 3), st.floats(-40.0, 40.0),
+                  st.fractions(-40, 40, max_denominator=4))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.tuples(*[st.floats(1e-6, 1.0)] * 3), st.integers(-60, 60),
+       st.tuples(_RANK, _RANK, _RANK))
+@example((1.0, 1.0, 1.0), 60, (6, 0, 0))  # 1e360: the power of a side overflows
+@example((1.0, 1.0, 1.0), -60, (0, 0, 6))  # every weight underflows
+@example((1.0, 2.0, 3.0), 0, (Fraction(1, 2), -1.5, 3))
+def test_float_cevian_rank_equals_the_per_factor_powers(gaps, exponent, rank):
+    """Float sides form each weight in one expression: the same repr, or the same
+    exception and message, as one pow_keep_exact per factor."""
+    u, v, w = gaps
+    scale = 10.0 ** exponent
+    try:
+        sides = TriangleSides((v + w) * scale, (w + u) * scale, (u + v) * scale)
+    except GeometryError:
+        return
+    outcomes = []
+    for route in (centers.cevian_rank, _per_factor_cevian):
+        try:
+            outcomes.append(repr(route(*rank, sides)))
+        except GeometryError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_float_cevian_rank_calls_no_pow_keep_exact(monkeypatch):
+    calls = []
+
+    def counted(base, exponent):
+        calls.append((base, exponent))
+        return kernel.pow_keep_exact(base, exponent)
+
+    monkeypatch.setattr(centers, "pow_keep_exact", counted)
+    for rank in ((2, -1, 3), (0.5, 0.0, -1.5), (Fraction(1, 3), 2, Fraction(-2))):
+        centers.cevian_rank(*rank, RIGHT)
+    assert calls == []
+    centers.cevian_rank(1, 0, 0, TriangleSides(Fraction(3), 4.0, 5.0))  # mixed sides: per factor
+    assert len(calls) == 9
 
 
 class TestCevianTriangle:

@@ -81,6 +81,15 @@ class TestValidation:
         with pytest.raises(GeometryError):
             BaryPoint(1e308, 1e308, 1e308)
 
+    def test_overflowing_mixed_weight_sum_says_so(self):
+        # a Fraction past the float range meets a float in the weight sum
+        weights = (Fraction(10**400), 1.0, 1.0)
+        message = "weights ({!r}, {!r}, {!r}) overflow: their sum is not finite".format(*weights)
+        with pytest.raises(GeometryError) as info:
+            BaryPoint(*weights)
+        assert str(info.value) == message
+        assert not isinstance(info.value.__cause__, OverflowError)
+
     def test_zero_sum_integer_weights_rejected(self):
         with pytest.raises(PointAtInfinity, match="sum to zero"):
             BaryPoint.from_ints(Fraction(2), Fraction(-2), Fraction(0), (1, -1, 0))
@@ -497,6 +506,18 @@ class TestContexts:
         assert all(type(v) is Fraction for v in point.normalized())
         assert BaryPoint(Fraction(-2), Fraction(-4), Fraction(12, 1)).ints == (-1, -2, 6)
         assert BaryPoint(1, 2, 3).ints is None and BaryPoint(Fraction(1), 2, 3).ints is None
+
+    @pytest.mark.parametrize("point, keys", [
+        (BaryPoint(3.0, 4.0, 5.0), ["t1", "t2", "t3"]),
+        (BaryPoint(3, Fraction(1, 2), 5.0), ["t1", "t2", "t3"]),
+        (BaryPoint(Fraction(3), Fraction(1, 2), Fraction(5)), ["t1", "t2", "t3", "ints"]),
+        (BaryPoint.from_ints(Fraction(3), Fraction(1, 2), Fraction(5), (6, 1, 10)),
+         ["t1", "t2", "t3", "ints"]),
+    ])
+    def test_hand_written_init_sets_the_generated_key_order(self, point, keys):
+        assert list(vars(point)) == keys
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            point.t1 = 1.0
 
     @pytest.mark.parametrize("weights", [
         (Fraction(1, 3), Fraction(-1, 3), Fraction(0)),

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from tribary import verify
+from tribary import centers, kernel, verify
 from tribary.errors import GeometryError
 from tribary.kernel import TriangleSides
 from tribary.verify import (
@@ -324,3 +324,21 @@ class TestWorkers:
         with pytest.raises(GeometryError):
             _run_fuzz(FuzzConfig(count=6, seed=3, corpus=(("1", "1", "2"),) * 3), 3)
         _assert_no_child_left()
+
+
+def test_pow_keep_exact_calls_per_thousand_contexts(monkeypatch):
+    """Float cevian weights take no pow_keep_exact call, so 1000 contexts make at
+    most 71,074 (116,074 while each float weight took three).  Counts repeat
+    exactly where timings do not."""
+    calls = [0]
+    original = kernel.pow_keep_exact
+
+    def counted(base, exponent):
+        calls[0] += 1
+        return original(base, exponent)
+
+    monkeypatch.setattr(kernel, "pow_keep_exact", counted)
+    monkeypatch.setattr(centers, "pow_keep_exact", counted)
+    report = _run_fuzz(FuzzConfig(count=200, seed=7), 1)
+    assert report.contexts == 1000
+    assert 0 < calls[0] <= 71_074
