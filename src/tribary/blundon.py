@@ -87,25 +87,6 @@ def _to_float(value, name: str) -> float:
         raise DegenerateTriangle(f"{name} exceeds the float range") from exc
 
 
-def _legs(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
-    """(OP^2, OQ^2, PQ^2, OP^2 + OQ^2 - PQ^2, OP^2 OQ^2) on the generic route.  Raises past
-    the float range, and when float legs that are not 0 have a product below the normal
-    floats, which only Fraction sides reach: a float triangle's squared terms fit the range."""
-    try:
-        op_sq = sides.r_sq - kernel.circum_power(p, sides)
-        oq_sq = sides.r_sq - kernel.circum_power(q, sides)
-        pq_sq = kernel.dist_sq_between(p, q, sides)
-        middle, product = op_sq + oq_sq - pq_sq, op_sq * oq_sq
-        finite = abs(float(product)) < math.inf and abs(middle) < math.inf  # and each leg
-    except OverflowError:  # a Fraction past the float range met a float, or float()
-        finite = False
-    if not finite:
-        raise DegenerateTriangle("OP^2, OQ^2 or PQ^2 exceeds the float range")
-    if type(product) is float and abs(product) < _FLOAT_MIN and op_sq and oq_sq:
-        raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")
-    return op_sq, oq_sq, pq_sq, middle, product
-
-
 class _Cleared(NamedTuple):
     """Theorem 3.1 over the integers, for Fraction sides and weights.
 
@@ -187,14 +168,18 @@ def general_cos_parts(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
     """Numerator and squared denominator of cos POQ, as rational expressions.
 
     Returns (numerator, radicand) with cos = numerator / sqrt(radicand); both
-    stay exact for rational input.
+    stay exact in exact mode (kernel.one_mode), and in float mode they are the
+    float report's middle and 4 OP^2 OQ^2.
     """
     c = _clear(p, q, sides)
-    if c is not None:
-        den = c.leg_den * c.sp_sq * c.sq_sq
-        return Fraction(c.m, den), Fraction(4 * c.n_p * c.n_q, den * c.leg_den)
-    *_, middle, product = _legs(p, q, sides)
-    return middle, 4 * product
+    if c is None and sides.ints is not None:  # Fraction sides, other weights
+        p, q, sides = kernel.one_mode(p, q, sides=sides)
+        c = _clear(p, q, sides)
+    if c is None:
+        report = cos_angle_at_circumcenter(p, q, sides)
+        return report.bounds.middle, 4 * (report.op_sq * report.oq_sq)
+    den = c.leg_den * c.sp_sq * c.sq_sq
+    return Fraction(c.m, den), Fraction(4 * c.n_p * c.n_q, den * c.leg_den)
 
 
 def cos_angle_at_circumcenter(p: BaryPoint, q: BaryPoint, sides: TriangleSides) -> AngleReport:
@@ -202,24 +187,27 @@ def cos_angle_at_circumcenter(p: BaryPoint, q: BaryPoint, sides: TriangleSides) 
 
     A numerically vanishing leg is reported as classification "undefined"
     rather than raised, since degenerate requests are ordinary data here.
-    Fraction sides and weights take the integer route of _Cleared, which
-    decides the collinear classifications exactly and rounds the outer bounds
-    outward; other input classifies with the EPS_COLLINEAR threshold.
+    The call runs in the number mode of kernel.one_mode.  Exact mode takes the
+    integer route of _Cleared, which decides the collinear classifications
+    exactly and rounds the outer bounds outward; float mode classifies with
+    the EPS_COLLINEAR threshold.
     """
     if sides.ints is not None:
         cleared = _clear(p, q, sides)
-        return _legs_report(p, q, sides) if cleared is None else cleared.report()
+        if cleared is None:  # weights that are not all Fractions
+            return cos_angle_at_circumcenter(*kernel.one_mode(p, q, sides=sides))
+        return cleared.report()
     a, b, c = sides.a, sides.b, sides.c
     p1, p2, p3 = p.t1, p.t2, p.t3
     q1, q2, q3 = q.t1, q.t2, q.t3
     if not (float is type(a) is type(b) is type(c) is type(p1) is type(p2) is type(p3)
             is type(q1) is type(q2) is type(q3)):
-        return _legs_report(p, q, sides)
-    # All floats: _legs_report in one pass, each point normalised once and each side
-    # squared once, with its range checks in its order and its messages.  An intentional
-    # duplicate of kernel.circum_power, kernel.dist_sq_between and _legs_report, held bit
-    # for bit to _legs_report by the tests.  -inf < x < inf is abs(x) < inf without a call;
-    # a product in (0, min) has raised before the undefined test, so nothing else can.
+        return cos_angle_at_circumcenter(*kernel.one_mode(p, q, sides=sides))
+    # All floats, in one pass: each point normalised once and each side squared once.
+    # An intentional duplicate of kernel.circum_power and kernel.dist_sq_between, held
+    # bit for bit by the tests to a composition of the two.  -inf < x < inf is
+    # abs(x) < inf without a call; a product in (0, min) has raised before the
+    # undefined test, so nothing else can.
     total = p1 + p2 + p3
     n1, n2, n3 = p1 / total, p2 / total, p3 / total
     total = q1 + q2 + q3
@@ -260,26 +248,6 @@ def cos_angle_at_circumcenter(p: BaryPoint, q: BaryPoint, sides: TriangleSides) 
     else:
         classification = CLASS_GENERIC
     return _tuple_new(AngleReport, (cos_value, op_sq, oq_sq, pq_sq, bounds, classification))
-
-
-def _legs_report(p: BaryPoint, q: BaryPoint, sides: TriangleSides) -> AngleReport:
-    """cos_angle_at_circumcenter's report from _legs: the route of mixed input, and
-    the reference its all-float pass must equal."""
-    op_sq, oq_sq, pq_sq, middle, product = _legs(p, q, sides)
-    upper = 2.0 * math.sqrt(max(float(product), 0.0))
-    bounds = BoundTriple(-upper, middle, upper)
-    if product <= _EPS_SQ * sides.r_sq * sides.r_sq:
-        return AngleReport(None, op_sq, oq_sq, pq_sq, bounds, CLASS_UNDEFINED)
-    if product < _FLOAT_MIN:  # an exact product, which _legs lets through
-        raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")
-    cos_value = _clamp(float(middle) / upper)
-    if 1.0 - cos_value <= EPS_COLLINEAR:
-        classification = CLASS_COLLINEAR_SAME_SIDE
-    elif 1.0 + cos_value <= EPS_COLLINEAR:
-        classification = CLASS_COLLINEAR_OPPOSITE_SIDE
-    else:
-        classification = CLASS_GENERIC
-    return AngleReport(cos_value, op_sq, oq_sq, pq_sq, bounds, classification)
 
 
 def blundon_bounds(p: BaryPoint, q: BaryPoint, sides: TriangleSides) -> BoundTriple:
@@ -542,14 +510,13 @@ def triple_cevian_cos(p1: BaryPoint, p2: BaryPoint, p3: BaryPoint, sides: Triang
     Raises DegenerateVertexAngle when any two of the points (nearly)
     coincide, measured against R^2.
     """
-    try:
-        d12 = kernel.dist_sq_between(p1, p2, sides)
-        d23 = kernel.dist_sq_between(p2, p3, sides)
-        d31 = kernel.dist_sq_between(p3, p1, sides)
-        numerator = d12 + d23 - d31
-    except OverflowError:  # a Fraction past the float range met a float
-        numerator = d12 = d23 = d31 = math.inf
-    return _clamp(_vertex_cos(numerator, d12, d23, min(d12, d23, d31), sides))
+    if (sides.ints is None or None in (p1.ints, p2.ints, p3.ints)) and {type(v) for v in (
+            *sides.as_tuple(), *p1.as_tuple(), *p2.as_tuple(), *p3.as_tuple())} != {float}:
+        p1, p2, p3, sides = kernel.one_mode(p1, p2, p3, sides=sides)  # neither all exact nor float
+    d12 = kernel.dist_sq_between(p1, p2, sides)
+    d23 = kernel.dist_sq_between(p2, p3, sides)
+    d31 = kernel.dist_sq_between(p3, p1, sides)
+    return _clamp(_vertex_cos(d12 + d23 - d31, d12, d23, min(d12, d23, d31), sides))
 
 
 def _vertex_cos(numerator, d12, d23, closest, sides: TriangleSides) -> float:

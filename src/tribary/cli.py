@@ -23,7 +23,7 @@ from . import oracle
 from .blundon import CLASS_UNDEFINED, cos_angle_at_circumcenter, triple_cevian_cos
 from .centers import parse_center_spec, parse_number, parse_sides, resolve
 from .errors import GeometryError, InputError
-from .kernel import BaryPoint, derive_elements, dist_sq_between, euler_terms
+from .kernel import derive_elements, dist_sq_between, euler_terms, float_mode, one_mode
 from .serialize import csv_cell, dumps, format_number
 
 FORMATS = ("human", "json", "csv")
@@ -165,19 +165,20 @@ def _center(args, sides, specs, points):
 
 
 def _oracle_residual(points, sides, cos_value):
-    """cos_value minus the Cartesian oracle's cosine, in floats; None if
-    undefined, or if a point has no float image."""
+    """cos_value minus the Cartesian oracle's cosine, from the float images of
+    float_mode; None if undefined, or if a point has no float image."""
     if cos_value is None:
         return None
-    placement = oracle.place_triangle(*(float(v) for v in sides.as_tuple()))
+    try:
+        *images, sides = float_mode(*points, sides=sides)
+    except GeometryError:
+        return None
+    placement = oracle.place_triangle(*sides.as_tuple())
     center = oracle.circumcenter_xy(placement)
     try:
-        images = [BaryPoint(*(float(t) for t in point.as_tuple())) for point in points]
-        reference = oracle.angle_cos(
-            center,
-            *(oracle.barycentric_to_cartesian(image.as_tuple(), placement) for image in images),
-        )
-    except (OverflowError, GeometryError):
+        reference = oracle.angle_cos(center, *(
+            oracle.barycentric_to_cartesian(image.as_tuple(), placement) for image in images))
+    except GeometryError:
         return None
     return cos_value - reference
 
@@ -239,8 +240,8 @@ _COMMANDS = {
 
 
 def _run_geometry(args) -> int:
-    """The one path of every geometry subcommand: read --sides, parse and
-    resolve each point flag in order, run the body, emit its output once."""
+    """The one path of every geometry subcommand: read --sides, parse and resolve
+    each point flag in order, put all in one number mode, run the body, emit once."""
     body, _, flags = _COMMANDS[args.command]
     tokens = args.sides.split(",")
     if len(tokens) != 3 or not all(token.strip() for token in tokens):
@@ -250,6 +251,7 @@ def _run_geometry(args) -> int:
     for flag in flags:
         specs.append(parse_center_spec(getattr(args, flag), exact=args.exact))
         points.append(resolve(specs[-1], sides))
+    *points, sides = one_mode(*points, sides=sides)
     data, lines, code = body(args, sides, specs, points)
     _emit(data, args.format, lines)
     return code

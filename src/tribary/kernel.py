@@ -17,7 +17,8 @@ in, and cached from, the exact route's integers: ``ints`` (A, B, C) = ``lam``
 C + A - B, A + B - C).  A :class:`BaryPoint` of three ``Fraction`` weights keeps
 coprime integer weights in ``ints`` (else None); :meth:`BaryPoint.from_ints`
 builds one from integer weights the caller already has, which is how the exact
-center generators skip clearing the Fractions.
+center generators skip clearing the Fractions.  :func:`one_mode` decides once
+whether an angle call is exact or float, and converts its input to that mode.
 
 Records: a frozen dataclass only where construction validates or builds a
 context (TriangleSides, BaryPoint, CenterSpec, FuzzConfig), a mutable one for
@@ -175,10 +176,11 @@ class BaryPoint:
         if x + y + z == 0:
             raise PointAtInfinity(_message("weights ({!r}, {!r}, {!r}) sum to zero", t1, t2, t3))
         g = math.gcd(x, y, z)
-        point = object.__new__(cls)
-        # The fields, then ints: the constructor's key order.  One update costs
-        # less than the four object.__setattr__ calls the constructor makes.
-        point.__dict__.update(t1=t1, t2=t2, t3=t3, ints=(x // g, y // g, z // g))
+        point, setattr_ = object.__new__(cls), object.__setattr__
+        setattr_(point, "t1", t1)  # the constructor's way and key order
+        setattr_(point, "t2", t2)
+        setattr_(point, "t3", t3)
+        setattr_(point, "ints", (x // g, y // g, z // g))
         return point
 
     def as_tuple(self):
@@ -280,6 +282,30 @@ def float_sides(values) -> TriangleSides:
         return TriangleSides(*(float(v) for v in values))
     except OverflowError as exc:
         raise DegenerateTriangle("side values exceed the float range") from exc
+
+
+def one_mode(*points: BaryPoint, sides: TriangleSides):
+    """(*points, sides) in one number mode, decided before any arithmetic.  Exact
+    when the three sides are Fractions and every weight is an int or a Fraction:
+    int weights become Fractions.  Every other call is float_mode's."""
+    if sides.ints is not None and all(type(t) is int or type(t) is Fraction
+                                      for point in points for t in point.as_tuple()):
+        return (*(BaryPoint(*map(Fraction, point.as_tuple())) for point in points), sides)
+    return float_mode(*points, sides=sides)
+
+
+def float_mode(*points: BaryPoint, sides: TriangleSides):
+    """(*points, sides) as floats: the sides through float_sides, then each point's
+    weights; GeometryError for a weight that has no float image."""
+    floats = float_sides(sides.as_tuple())
+    images = []
+    for point in points:
+        try:
+            images.append(BaryPoint(*(float(t) for t in point.as_tuple())))
+        except OverflowError as exc:
+            raise GeometryError(_message(
+                "weights ({!r}, {!r}, {!r}) have no float image", *point.as_tuple())) from exc
+    return (*images, floats)
 
 
 def derive_elements(sides: TriangleSides) -> TriangleElements:

@@ -9,6 +9,7 @@ rank (0,1) cos = 0.98386991..., corrected rank (1,2) cos = 0.99792530...
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -264,19 +265,6 @@ class TestIntegerRoute:
             BaryPoint(1.0, 0.0, 0.0), BaryPoint(3.0, 1.0, float(third)), RIGHT)
         assert floats.classification == blundon.CLASS_COLLINEAR_SAME_SIDE
 
-    @pytest.mark.parametrize("sides, p, q", [
-        (TriangleSides(3, 4, 5), BaryPoint(3, 4, 5), BaryPoint(Fraction(1), Fraction(3), Fraction(2))),
-        (EXACT_RIGHT, BaryPoint(3, 4, 5), BaryPoint(Fraction(3), Fraction(2), Fraction(1))),
-        (EXACT_RIGHT, BaryPoint(1.5, 0.25, 1.0), BaryPoint(Fraction(3), Fraction(2), Fraction(1))),
-        (EXACT_RIGHT, BaryPoint(1, 0, 0), BaryPoint(3, 1, Fraction(1, 100000))),
-    ], ids=["int sides", "int weights", "float weights", "mixed weights"])
-    def test_other_input_keeps_the_generic_path(self, monkeypatch, sides, p, q):
-        routed = blundon.cos_angle_at_circumcenter(p, q, sides)
-        parts = blundon.general_cos_parts(p, q, sides)
-        monkeypatch.setattr(blundon, "_clear", lambda *args: None)
-        assert repr(routed) == repr(blundon.cos_angle_at_circumcenter(p, q, sides))
-        assert repr(parts) == repr(blundon.general_cos_parts(p, q, sides))
-
 
 _WEIGHT = st.integers(-10**6, 10**6)
 
@@ -301,6 +289,64 @@ def test_clear_matches_the_quadratic_form(gaps, p, q):
     f_d = form((sq * p1 - sp * q1, sq * p2 - sp * q2, sq * p3 - sp * q3))
     assert (cleared.n_p, cleared.n_q, cleared.f_d) == (n_p, n_q, f_d)
     assert cleared.m == n_p * sq * sq + n_q * sp * sp + sides.h * f_d
+
+
+def _outcome(route, *args):
+    """repr of the report, or the type and message of what it raised."""
+    try:
+        return repr(route(*args))
+    except Exception as exc:  # noqa: BLE001 - both routes must raise alike
+        return type(exc), str(exc)
+
+
+_NUMBER = {
+    "int": st.integers(-40, 40),
+    "Fraction": st.builds(Fraction, st.integers(-4000, 4000), st.integers(1, 999)),
+    "float": st.floats(-2.0, 2.0),
+}
+
+
+@st.composite
+def _typed_input(draw):
+    """(sides, three weight triples): int, Fraction or float sides from gaps u, v, w,
+    and weights of any of those types, so that int sides, int, Fraction and mixed
+    weights on Fraction sides, float weights on Fraction sides and Fraction
+    weights on float sides all occur."""
+    kind = draw(st.sampled_from(sorted(_NUMBER)))
+    u, v, w = (abs(draw(_NUMBER[kind])) + 1 for _ in range(3))
+    weights = [tuple(draw(_NUMBER[draw(st.sampled_from(sorted(_NUMBER)))]) for _ in range(3))
+               for _ in range(3)]
+    return (v + w, w + u, u + v), weights
+
+
+def _converted_call(call, abc, weights):
+    """call on the input converted by hand: every weight a Fraction when the sides
+    are Fractions and no weight is a float, else every side and weight a float."""
+    exact = type(abc[0]) is Fraction and float not in {type(t) for w in weights for t in w}
+    convert = Fraction if exact else float
+    sides = TriangleSides(*(abc if exact else map(float, abc)))
+    return call(*(BaryPoint(*map(convert, triple)) for triple in weights), sides)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_typed_input(), st.sampled_from(["cos_angle_at_circumcenter", "general_cos_parts",
+                                        "triple_cevian_cos"]))
+@example(((Fraction(3), Fraction(4), Fraction(5)), [(3, 4, 5), (Fraction(3), 2, 1), (1, 1, 1)]),
+         "cos_angle_at_circumcenter")  # int weights on Fraction sides are exact
+@example(((3.0, 4.0, 5.0), [(Fraction(1, 3), 1, 1), (3, 4, 5), (1.0, 1.0, 1.0)]),
+         "general_cos_parts")
+def test_mixed_input_equals_the_call_in_one_mode(drawn, name):
+    """Input that is neither all Fractions nor all floats gives the same repr, or
+    the same exception and message, as the same call on the input converted by
+    hand to its one number mode."""
+    abc, weights = drawn
+    weights = weights if name == "triple_cevian_cos" else weights[:2]
+    call = getattr(blundon, name)
+    try:
+        sides, points = TriangleSides(*abc), [BaryPoint(*triple) for triple in weights]
+    except GeometryError:
+        assume(False)
+    assert _outcome(call, *points, sides) == _outcome(_converted_call, call, abc, weights)
 
 
 @st.composite
@@ -329,14 +375,6 @@ def _float_weights(draw):
     return tuple(w)
 
 
-def _outcome(route, *args):
-    """repr of the report, or the type and message of what it raised."""
-    try:
-        return repr(route(*args))
-    except Exception as exc:  # noqa: BLE001 - both routes must raise alike
-        return type(exc), str(exc)
-
-
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(_float_triangle(), _float_weights(), _float_weights())
 @example((3.0, 4.0, 5.0), (1e200, -1e200, 1.0), (3.0, 4.0, 5.0))  # OP^2 past the float range
@@ -345,14 +383,39 @@ def _outcome(route, *args):
 @example((3.0, 4.0, 5.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0))  # a vertex with itself
 @example((2.0, 2.0, 2.0), (1.0, 1.0, 1.0), (0.0, 1.0, 1.0))  # O itself: undefined
 def test_all_float_report_equals_the_legs_route(abc, p, q):
-    """The all-float pass of cos_angle_at_circumcenter is bit for bit _legs_report,
-    the route of mixed input: the same repr, or the same exception and message."""
+    """The all-float pass of cos_angle_at_circumcenter is bit for bit the reference
+    _legs_report below: the same repr, or the same exception and message."""
     try:
         sides, p, q = TriangleSides(*abc), BaryPoint(*p), BaryPoint(*q)
     except GeometryError:
         assume(False)
     assert _outcome(blundon.cos_angle_at_circumcenter, p, q, sides) == _outcome(
-        blundon._legs_report, p, q, sides)
+        _legs_report, p, q, sides)
+
+
+def _legs_report(p, q, sides):
+    """The float report from the legs of kernel.circum_power and kernel.dist_sq_between,
+    with the float pass's guards in their order and with their messages."""
+    op_sq = sides.r_sq - kernel.circum_power(p, sides)
+    oq_sq = sides.r_sq - kernel.circum_power(q, sides)
+    pq_sq = kernel.dist_sq_between(p, q, sides)
+    middle, product = op_sq + oq_sq - pq_sq, op_sq * oq_sq
+    if not (abs(product) < math.inf and abs(middle) < math.inf):
+        raise DegenerateTriangle("OP^2, OQ^2 or PQ^2 exceeds the float range")
+    if abs(product) < sys.float_info.min and op_sq and oq_sq:
+        raise DegenerateTriangle("OP^2 OQ^2 underflows the float range")
+    upper = 2.0 * math.sqrt(max(product, 0.0))
+    bounds = blundon.BoundTriple(-upper, middle, upper)
+    if product <= blundon.EPS_ANGLE * blundon.EPS_ANGLE * sides.r_sq * sides.r_sq:
+        return blundon.AngleReport(None, op_sq, oq_sq, pq_sq, bounds, blundon.CLASS_UNDEFINED)
+    cos_value = max(-1.0, min(1.0, middle / upper))
+    if 1.0 - cos_value <= blundon.EPS_COLLINEAR:
+        classification = blundon.CLASS_COLLINEAR_SAME_SIDE
+    elif 1.0 + cos_value <= blundon.EPS_COLLINEAR:
+        classification = blundon.CLASS_COLLINEAR_OPPOSITE_SIDE
+    else:
+        classification = blundon.CLASS_GENERIC
+    return blundon.AngleReport(cos_value, op_sq, oq_sq, pq_sq, bounds, classification)
 
 
 def _counted(monkeypatch, module, name):
@@ -372,8 +435,8 @@ def test_all_float_report_skips_the_kernel_metrics(monkeypatch):
     distances = _counted(monkeypatch, kernel, "dist_sq_between")
     blundon.cos_angle_at_circumcenter(INCENTER, NAGEL, RIGHT)
     assert (len(powers), len(distances)) == (0, 0)
-    blundon.cos_angle_at_circumcenter(BaryPoint(3, 4, 5), NAGEL, RIGHT)  # int weights: _legs
-    assert (len(powers), len(distances)) == (2, 1)
+    blundon.cos_angle_at_circumcenter(BaryPoint(3, 4, 5), NAGEL, RIGHT)  # int weights: floats
+    assert (len(powers), len(distances)) == (0, 0)
 
 
 HUGE_EQUILATERAL = TriangleSides(*[Fraction(10**200)] * 3)
@@ -422,7 +485,7 @@ def _triple(function, first=centers.incenter):
 
 _HALF_RANK = lambda s: centers.cevian_rank(Fraction(1, 2), 0, 0, s)  # noqa: E731  float weights
 _UNDERFLOW = "OP^2 OQ^2 underflows the float range"
-_LEGS_OVERFLOW = "OP^2, OQ^2 or PQ^2 exceeds the float range"
+_FLOAT_IMAGE = "leave abc^2 or 16 area^2 outside the float range"
 _DISTANCE_OVERFLOW = "a squared distance between the points exceeds the float range"
 _PRODUCT_UNDERFLOW = "the product of two squared distances underflows the float range"
 
@@ -433,10 +496,11 @@ _PRODUCT_UNDERFLOW = "the product of two squared distances underflows the float 
     (_tiny(10**150), _triple(blundon.triple_cevian_cos), _PRODUCT_UNDERFLOW),
     (_tiny(10**80), _triple(blundon.triple_cevian_cos, centers.lemoine_point), _PRODUCT_UNDERFLOW),
     (_tiny(10**150), _triple(blundon.triple_cevian_cos_variant), _PRODUCT_UNDERFLOW),
+    # float weights on Fraction sides: the float image of the sides fails
     (HUGE_SCALENE, lambda s: blundon.general_cos_parts(_HALF_RANK(s), centers.incenter(s), s),
-     _LEGS_OVERFLOW),
+     _FLOAT_IMAGE),
     (HUGE_SCALENE, lambda s: blundon.cos_angle_at_circumcenter(
-        _HALF_RANK(s), centers.incenter(s), s), _LEGS_OVERFLOW),
+        _HALF_RANK(s), centers.incenter(s), s), _FLOAT_IMAGE),
     (_tiny(10**100), lambda s: blundon.cos_angle_at_circumcenter(
         BaryPoint(1, 0, 0), BaryPoint(0, 1, 0), s), _UNDERFLOW),
     (_tiny(10**100), lambda s: blundon.cos_angle_at_circumcenter(

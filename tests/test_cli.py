@@ -336,6 +336,27 @@ class TestCos:
         assert middle == Fraction(-24854400, 128639)
         assert lower <= middle <= upper
 
+    @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+    @pytest.mark.parametrize("points", [
+        ("cos", "--p", "cevian:{},0,0", "--q", "incenter"),
+        ("triple", "--p1", "cevian:{},0,0", "--p2", "incenter", "--p3", "centroid"),
+    ], ids=["cos", "triple"])
+    def test_exact_call_with_a_float_point_runs_in_float_mode(self, capsys, points, fmt):
+        # a rank of 1/2 gives float weights, so the exact call is the float call
+        command, *flags = points
+        exact = run_cli(capsys, command, "--exact", "--sides", "3,4,5", "--format", fmt,
+                        *(flag.format("1/2") for flag in flags))
+        floats = run_cli(capsys, command, "--sides", "3,4,5", "--format", fmt,
+                         *(flag.format("0.5") for flag in flags))
+        assert exact == floats
+        assert exact[0] == 0
+
+    def test_exact_weight_without_float_image_in_float_mode_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "cos", "--exact", "--sides", "3,4,5",
+                                 "--p", "raw:1e400,1,1", "--q", "cevian:1/2,0,0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: weights (") and err.endswith("have no float image\n")
+
     def test_raw_vertices_give_side_square(self, capsys):
         _, out, _ = run_cli(capsys, "cos", "--sides", "3,4,5",
                             "--p", "raw:1,0,0", "--q", "raw:0,1,0", "--format", "json")

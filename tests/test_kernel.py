@@ -90,6 +90,15 @@ class TestValidation:
         assert str(info.value) == message
         assert not isinstance(info.value.__cause__, OverflowError)
 
+    def test_weight_without_float_image_in_float_mode_says_so(self):
+        exact_sides = TriangleSides(Fraction(3), Fraction(4), Fraction(5))
+        huge = BaryPoint(Fraction(10**400), Fraction(1), Fraction(1))
+        assert kernel.one_mode(huge, sides=exact_sides) == (huge, exact_sides)  # exact mode
+        message = "weights ({!r}, {!r}, {!r}) have no float image".format(*huge.as_tuple())
+        with pytest.raises(GeometryError) as info:
+            kernel.one_mode(huge, BaryPoint(1.0, 1.0, 1.0), sides=exact_sides)
+        assert str(info.value) == message
+
     def test_zero_sum_integer_weights_rejected(self):
         with pytest.raises(PointAtInfinity, match="sum to zero"):
             BaryPoint.from_ints(Fraction(2), Fraction(-2), Fraction(0), (1, -1, 0))

@@ -5,12 +5,13 @@ import os
 import random
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from tribary import centers, kernel, verify
+from tribary import blundon, centers, kernel, verify
 from tribary.errors import GeometryError
-from tribary.kernel import TriangleSides
+from tribary.kernel import BaryPoint, TriangleSides
 from tribary.verify import (
     VALID_STRATA,
     VALID_SUITES,
@@ -342,3 +343,29 @@ def test_pow_keep_exact_calls_per_thousand_contexts(monkeypatch):
     report = _run_fuzz(FuzzConfig(count=200, seed=7), 1)
     assert report.contexts == 1000
     assert 0 < calls[0] <= 71_074
+
+
+def test_no_mode_conversion_in_the_harness_or_the_angle_rounds(monkeypatch):
+    """The harness and one float and one exact angle round of perfbench make only
+    all-float or all-Fraction angle calls, so kernel.one_mode, which converts
+    every other input, is never called."""
+    calls = [0]
+    original = kernel.one_mode
+
+    def counted(*points, sides):
+        calls[0] += 1
+        return original(*points, sides=sides)
+
+    monkeypatch.setattr(kernel, "one_mode", counted)
+    assert _run_fuzz(FuzzConfig(count=200, seed=7), 1).contexts == 1000
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    cases = workloads.angle_round(1, 0)
+    for exact in (False, True):
+        reports = workloads.evaluate_angles(workloads.library_cases(cases, exact))
+        assert reports and not any(isinstance(r, Exception) for r in reports)
+    assert calls[0] == 0
+    sides = TriangleSides(Fraction(3), Fraction(4), Fraction(5))
+    blundon.cos_angle_at_circumcenter(BaryPoint(3, 4, 5), centers.incenter(sides), sides)
+    assert calls[0] == 1  # int weights on Fraction sides are converted once
