@@ -15,7 +15,7 @@ Typical use:
     >>> round(report.cos_value, 10)
     0.4472135955
 
-Exact mode works the same way with Fraction sides.  The command line
+Exact mode works the same way with int or Fraction sides.  The command line
 mirrors the library: `tribary cos --sides 3,4,5 --p incenter --q nagel`.
 """
 

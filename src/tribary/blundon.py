@@ -88,7 +88,7 @@ def _to_float(value, name: str) -> float:
 
 
 class _Cleared(NamedTuple):
-    """Theorem 3.1 over the integers, for Fraction sides and weights.
+    """Theorem 3.1 over the integers, for exact sides and weights.
 
     Every squared length is homogeneous in the sides and in each point's
     weights, so it reads the kernel's integer contexts: (A, B, C) = lam (a, b, c),
@@ -148,10 +148,8 @@ class _Cleared(NamedTuple):
         return AngleReport(cos_value, op_sq, oq_sq, pq_sq, bounds, classification)
 
 
-def _clear(p: BaryPoint, q: BaryPoint, sides: TriangleSides) -> Optional[_Cleared]:
-    """The integers of _Cleared, or None unless the sides and all six weights are Fractions."""
-    if sides.ints is None or p.ints is None or q.ints is None:
-        return None
+def _clear(p: BaryPoint, q: BaryPoint, sides: TriangleSides) -> _Cleared:
+    """The integers of _Cleared, for exact sides and points."""
     h, abc_sq, lam, (a, b, c) = sides.h, sides.abc_sq, sides.lam, sides.ints
     (p1, p2, p3), (q1, q2, q3) = p.ints, q.ints
     sp, sq = p1 + p2 + p3, q1 + q2 + q3
@@ -171,13 +169,10 @@ def general_cos_parts(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
     stay exact in exact mode (kernel.one_mode), and in float mode they are the
     float report's middle and 4 OP^2 OQ^2.
     """
-    c = _clear(p, q, sides)
-    if c is None and sides.ints is not None:  # Fraction sides, other weights
-        p, q, sides = kernel.one_mode(p, q, sides=sides)
-        c = _clear(p, q, sides)
-    if c is None:
+    if sides.ints is None or p.ints is None or q.ints is None:  # not all exact
         report = cos_angle_at_circumcenter(p, q, sides)
         return report.bounds.middle, 4 * (report.op_sq * report.oq_sq)
+    c = _clear(p, q, sides)
     den = c.leg_den * c.sp_sq * c.sq_sq
     return Fraction(c.m, den), Fraction(4 * c.n_p * c.n_q, den * c.leg_den)
 
@@ -192,17 +187,13 @@ def cos_angle_at_circumcenter(p: BaryPoint, q: BaryPoint, sides: TriangleSides) 
     exactly and rounds the outer bounds outward; float mode classifies with
     the EPS_COLLINEAR threshold.
     """
-    if sides.ints is not None:
-        cleared = _clear(p, q, sides)
-        if cleared is None:  # weights that are not all Fractions
-            return cos_angle_at_circumcenter(*kernel.one_mode(p, q, sides=sides))
-        return cleared.report()
+    if sides.ints is not None and p.ints is not None and q.ints is not None:
+        return _clear(p, q, sides).report()
+    if not (sides.ints is None and p.ints is None and q.ints is None):  # mixed modes
+        p, q, sides = kernel.float_mode(p, q, sides=sides)
     a, b, c = sides.a, sides.b, sides.c
     p1, p2, p3 = p.t1, p.t2, p.t3
     q1, q2, q3 = q.t1, q.t2, q.t3
-    if not (float is type(a) is type(b) is type(c) is type(p1) is type(p2) is type(p3)
-            is type(q1) is type(q2) is type(q3)):
-        return cos_angle_at_circumcenter(*kernel.one_mode(p, q, sides=sides))
     # All floats, in one pass: each point normalised once and each side squared once.
     # An intentional duplicate of kernel.circum_power and kernel.dist_sq_between, held
     # bit for bit by the tests to a composition of the two.  -inf < x < inf is
@@ -375,19 +366,14 @@ def exradii_identity_residual(sides: TriangleSides):
 def _rank_point(k, sides: TriangleSides):
     """(normalized weights, circum_power (abc)^k S_{2-k} / S_k^2) of the rank-k point."""
     powers = [kernel.pow_keep_exact(side, k) for side in sides.as_tuple()]
-    try:  # an exact power past the float range can meet a float one
-        s_k = powers[0] + powers[1] + powers[2]  # kernel.power_sum's order
-        s_k_sq = s_k * s_k
-        weights = tuple(side_k / s_k for side_k in powers)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise DegenerateTriangle(f"S_k of rank {k} leaves the float range") from exc
+    s_k = powers[0] + powers[1] + powers[2]  # kernel.power_sum's order
+    if not s_k:  # float powers that all underflow
+        raise DegenerateTriangle(f"S_k of rank {k} leaves the float range")
+    s_k_sq = s_k * s_k
     if not s_k_sq:  # float powers too small to square
         raise DegenerateTriangle(f"S_k^2 of rank {k} underflows the float range")
-    try:
-        power = kernel.pow_keep_exact(sides.abc, k) * kernel.power_sum(sides, 2 - k) / s_k_sq
-    except OverflowError as exc:
-        raise DegenerateTriangle(
-            f"(abc)^k S_(2-k) / S_k^2 of rank {k} leaves the float range") from exc
+    weights = tuple(side_k / s_k for side_k in powers)
+    power = kernel.pow_keep_exact(sides.abc, k) * kernel.power_sum(sides, 2 - k) / s_k_sq
     return weights, power
 
 
@@ -510,9 +496,7 @@ def triple_cevian_cos(p1: BaryPoint, p2: BaryPoint, p3: BaryPoint, sides: Triang
     Raises DegenerateVertexAngle when any two of the points (nearly)
     coincide, measured against R^2.
     """
-    if (sides.ints is None or None in (p1.ints, p2.ints, p3.ints)) and {type(v) for v in (
-            *sides.as_tuple(), *p1.as_tuple(), *p2.as_tuple(), *p3.as_tuple())} != {float}:
-        p1, p2, p3, sides = kernel.one_mode(p1, p2, p3, sides=sides)  # neither all exact nor float
+    p1, p2, p3, sides = kernel.one_mode(p1, p2, p3, sides=sides)
     d12 = kernel.dist_sq_between(p1, p2, sides)
     d23 = kernel.dist_sq_between(p2, p3, sides)
     d31 = kernel.dist_sq_between(p3, p1, sides)
@@ -542,6 +526,7 @@ def triple_cevian_cos_variant(
     expansion of the numerator, whose c^2 group carries a flipped sign;
     it disagrees with the Law of Cosines composition whenever that group
     is nonzero.  Kept only for verification reports."""
+    p1, p2, p3, sides = kernel.one_mode(p1, p2, p3, sides=sides)
     # Re-derives the quadratic form on purpose: an independent cross-check.
     n1 = p1.normalized()
     n2 = p2.normalized()

@@ -1,9 +1,9 @@
 """Catalog of triangle centers and related point generators.
 
 Every generator returns homogeneous :class:`~tribary.kernel.BaryPoint`
-weights.  Like the kernel, the generators are duck-typed: rational side
-lengths stay rational as long as the requested exponents are integers.
-For ``Fraction`` sides each generator builds the point's integer weights
+weights.  Like the kernel, the generators are duck-typed: exact side
+lengths give exact weights as long as the requested exponents are integers.
+For exact sides each generator builds the point's integer weights
 straight from the triangle's integer context (A, B, C), its gaps 2 lam (s - a)
 and its perimeter, and its Fraction weights from those the triangle holds or
 from their integers over a known denominator, so no point clears its own.
@@ -63,8 +63,7 @@ def incenter(sides: TriangleSides) -> BaryPoint:
 def centroid(sides: TriangleSides) -> BaryPoint:
     if sides.ints is not None:
         return BaryPoint.from_ints(_ONE, _ONE, _ONE, (1, 1, 1))
-    one = sides.a / sides.a  # unit in the arithmetic of the sides
-    return BaryPoint(one, one, one)
+    return BaryPoint(1.0, 1.0, 1.0)
 
 
 def nagel_point(sides: TriangleSides) -> BaryPoint:
@@ -143,7 +142,7 @@ def cevian_rank(k, l, m, sides: TriangleSides) -> BaryPoint:
     """Weights a^k (s-a)^l (b+c)^m : b^k (s-b)^l (a+c)^m : c^k (s-c)^l (a+b)^m.
 
     Rank (0,0,0) is the centroid, (1,0,0) the incenter, (2,0,0) the Lemoine
-    point, and (0,1,0) the Nagel point.  Fraction sides of a scalene or
+    point, and (0,1,0) the Nagel point.  Exact sides of a scalene or
     isosceles triangle with integral ranks take :func:`_integer_cevian_rank`.
     """
     ints = sides.ints
@@ -153,7 +152,7 @@ def cevian_rank(k, l, m, sides: TriangleSides) -> BaryPoint:
     a, b, c = sides.as_tuple()
     gap_a, gap_b, gap_c = sides.gaps
     w_a = None
-    if float is type(a) is type(b) is type(c):  # pow_keep_exact of a float base is base ** e
+    if ints is None:  # float sides: pow_keep_exact of a float base is base ** e
         try:
             w_a = a ** k * gap_a ** l * (b + c) ** m
             w_b = b ** k * gap_b ** l * (a + c) ** m
@@ -161,7 +160,7 @@ def cevian_rank(k, l, m, sides: TriangleSides) -> BaryPoint:
         except OverflowError:  # pow_keep_exact below names the base and exponent
             w_a = None
     if w_a is None:
-        try:  # an exact factor times a float one is a float, and may not fit
+        try:  # exact sides: an exact factor times a float one is a float, and may not fit
             w_a = pow_keep_exact(a, k) * pow_keep_exact(gap_a, l) * pow_keep_exact(b + c, m)
             w_b = pow_keep_exact(b, k) * pow_keep_exact(gap_b, l) * pow_keep_exact(a + c, m)
             w_c = pow_keep_exact(c, k) * pow_keep_exact(gap_c, l) * pow_keep_exact(a + b, m)

@@ -1,24 +1,31 @@
 """Side-length validation, derived triangle scalars, and barycentric metrics.
 
+A triangle or point decides its number mode once, in its constructor: three
+values that are each an ``int`` or a ``fractions.Fraction`` are stored as
+Fractions (exact mode), any other three as floats (float mode), and a value
+without a float image raises.  ``x.ints is None`` is the one mode test.
+:func:`one_mode` keeps the objects of one call exact when all are, else takes
+the float images of :func:`float_mode`, as the metrics here do for a point and
+a triangle in different modes.
+
 The squared-level quantities here (area squared, squared circumradius, squared
 distances, the circumcircle power) are rational functions of the side lengths,
 so every function that stays at the squared level is written once with plain
-arithmetic and works unchanged for ``float`` and ``fractions.Fraction``
-inputs.  Only :func:`derive_elements` takes square roots and therefore always
-produces floats: it reads the float context, the triangle's own for float sides,
-else that of :func:`float_sides`, the validated float image of any sides.
+arithmetic and works unchanged in either mode.  Only :func:`derive_elements`
+takes square roots and therefore always produces floats: it reads the float
+context, the triangle's own in float mode, else that of :func:`float_sides`,
+the validated float image of any sides.
 
 Triangles and points build a context at construction, outside ``==``, ``hash``
 and ``repr``.  :class:`TriangleSides` caches ``s``, ``gaps`` (s - a, s - b, s - c),
-``abc``, ``area2`` and ``r_sq`` (R^2).  Three ``Fraction`` sides are validated
-in, and cached from, the exact route's integers: ``ints`` (A, B, C) = ``lam``
-(a, b, c) with lam the lcm of the denominators, ``h`` = 16 area^2 of (A, B, C),
-``abc_sq`` = (ABC)^2 and ``twice`` = 2 lam (s - a, s - b, s - c) = (B + C - A,
-C + A - B, A + B - C).  A :class:`BaryPoint` of three ``Fraction`` weights keeps
-coprime integer weights in ``ints`` (else None); :meth:`BaryPoint.from_ints`
-builds one from integer weights the caller already has, which is how the exact
-center generators skip clearing the Fractions.  :func:`one_mode` decides once
-whether an angle call is exact or float, and converts its input to that mode.
+``abc``, ``area2`` and ``r_sq`` (R^2).  Exact sides are validated in, and cached
+from, the exact route's integers: ``ints`` (A, B, C) = ``lam`` (a, b, c) with
+lam the lcm of the denominators, ``h`` = 16 area^2 of (A, B, C), ``abc_sq`` =
+(ABC)^2 and ``twice`` = 2 lam (s - a, s - b, s - c) = (B + C - A, C + A - B,
+A + B - C).  An exact :class:`BaryPoint` keeps coprime integer weights in
+``ints``; :meth:`BaryPoint.from_ints` builds one from integer weights the
+caller already has, which is how the exact center generators skip clearing the
+Fractions.
 
 Records: a frozen dataclass only where construction validates or builds a
 context (TriangleSides, BaryPoint, CenterSpec, FuzzConfig), a mutable one for
@@ -68,6 +75,26 @@ def _cleared(x: Fraction, y: Fraction, z: Fraction):
     return (x.numerator * (lcm // dx), y.numerator * (lcm // dy), z.numerator * (lcm // dz)), lcm
 
 
+def _floats(values, error, pattern: str):
+    """The float images of values; error(pattern filled with them) when one has none."""
+    try:
+        return tuple(float(v) for v in values)
+    except OverflowError as exc:
+        raise error(_message(pattern, *values)) from exc
+
+
+def _one_type(values, error, pattern: str):
+    """(values, exact) for three values of mixed types: Fractions when each is an
+    int or a Fraction, else their float images (see _floats)."""
+    if all(type(v) is int or type(v) is Fraction for v in values):
+        return tuple(map(Fraction, values)), True
+    return _floats(values, error, pattern), False
+
+
+_NO_FLOAT_SIDES = "side values exceed the float range"
+_NO_FLOAT_WEIGHTS = "weights ({!r}, {!r}, {!r}) have no float image"
+
+
 @dataclass(frozen=True)
 class TriangleSides:
     """Side lengths a = BC, b = CA, c = AB of a strict triangle, and their context."""
@@ -76,11 +103,15 @@ class TriangleSides:
     b: Scalar
     c: Scalar
 
-    ints = lam = h = abc_sq = twice = None  # not fields: no integer context
+    ints = lam = h = abc_sq = twice = None  # not fields: float mode
 
     def __post_init__(self):
         a, b, c = self.a, self.b, self.c
-        exact = Fraction is type(a) is type(b) is type(c)
+        exact = not (float is type(a) is type(b) is type(c))
+        if exact and not (Fraction is type(a) is type(b) is type(c)):  # mixed types
+            (a, b, c), exact = _one_type((a, b, c), DegenerateTriangle, _NO_FLOAT_SIDES)
+            for item in zip("abc", (a, b, c)):  # the stored values replace the given ones
+                object.__setattr__(self, *item)
         (x, y, z), lam = _cleared(a, b, c) if exact else ((a, b, c), 1)
         if min(x, y, z) <= 0:
             raise DegenerateTriangle(_message("non-positive side in ({}, {}, {})", a, b, c))
@@ -107,16 +138,12 @@ class TriangleSides:
         else:
             s = perimeter / 2
             gaps = (s - a, s - b, s - c)
-            try:  # int sides, or Fraction sides that meet a float one, past the float range
-                abc = a * b * c
-                area2 = s * gaps[0] * gaps[1] * gaps[2]
-                if isinstance(perimeter, float):
-                    if not (0 < abc * abc < math.inf and 0 < 16 * area2 < math.inf):
-                        raise DegenerateTriangle(f"sides ({a}, {b}, {c}) leave abc^2 or "
-                                                 "16 area^2 outside the float range")
-                r_sq = abc * abc / (16 * area2)
-            except OverflowError as exc:
-                raise DegenerateTriangle("sides exceed the float range") from exc
+            abc = a * b * c
+            area2 = s * gaps[0] * gaps[1] * gaps[2]
+            if not (0 < abc * abc < math.inf and 0 < 16 * area2 < math.inf):
+                raise DegenerateTriangle(f"sides ({a}, {b}, {c}) leave abc^2 or "
+                                         "16 area^2 outside the float range")
+            r_sq = abc * abc / (16 * area2)
         setattr_ = object.__setattr__  # a loop costs more; vars(self) slows every read
         setattr_(self, "s", s)
         setattr_(self, "gaps", gaps)
@@ -140,18 +167,17 @@ class BaryPoint:
     t2: Scalar
     t3: Scalar
 
-    ints = None  # not a field: no integer context
+    ints = None  # not a field: float mode
 
     def __init__(self, t1: Scalar, t2: Scalar, t3: Scalar):
-        exact = Fraction is type(t1) is type(t2) is type(t3)
+        exact = not (float is type(t1) is type(t2) is type(t3))
+        if exact and not (Fraction is type(t1) is type(t2) is type(t3)):  # mixed types
+            (t1, t2, t3), exact = _one_type((t1, t2, t3), GeometryError, _NO_FLOAT_WEIGHTS)
         if exact:
             (x, y, z), _ = _cleared(t1, t2, t3)
             total = x + y + z
         else:
-            try:
-                total = t1 + t2 + t3
-            except OverflowError:  # a Fraction past the float range met a float
-                total = math.inf
+            total = t1 + t2 + t3
         if total == 0:
             raise PointAtInfinity(_message("weights ({!r}, {!r}, {!r}) sum to zero", t1, t2, t3))
         if not abs(total) < math.inf:
@@ -192,10 +218,7 @@ class BaryPoint:
             total = sum(self.ints)
             return tuple(Fraction(t, total) for t in self.ints)
         total = self.t1 + self.t2 + self.t3
-        try:  # an int or Fraction weight past the float range
-            return (self.t1 / total, self.t2 / total, self.t3 / total)
-        except OverflowError as exc:
-            raise GeometryError("normalized weights leave the float range") from exc
+        return (self.t1 / total, self.t2 / total, self.t3 / total)
 
 
 class TriangleElements(NamedTuple):
@@ -278,42 +301,33 @@ def power_sum(sides: TriangleSides, exponent):
 
 def float_sides(values) -> TriangleSides:
     """Float image of side values, validated like float input."""
-    try:
-        return TriangleSides(*(float(v) for v in values))
-    except OverflowError as exc:
-        raise DegenerateTriangle("side values exceed the float range") from exc
+    return TriangleSides(*_floats(values, DegenerateTriangle, _NO_FLOAT_SIDES))
 
 
 def one_mode(*points: BaryPoint, sides: TriangleSides):
-    """(*points, sides) in one number mode, decided before any arithmetic.  Exact
-    when the three sides are Fractions and every weight is an int or a Fraction:
-    int weights become Fractions.  Every other call is float_mode's."""
-    if sides.ints is not None and all(type(t) is int or type(t) is Fraction
-                                      for point in points for t in point.as_tuple()):
-        return (*(BaryPoint(*map(Fraction, point.as_tuple())) for point in points), sides)
-    return float_mode(*points, sides=sides)
+    """(*points, sides) in one number mode: unchanged when all are exact or all
+    are floats, else float_mode's."""
+    exact = sides.ints is not None
+    for point in points:
+        if (point.ints is not None) != exact:
+            return float_mode(*points, sides=sides)
+    return (*points, sides)
 
 
 def float_mode(*points: BaryPoint, sides: TriangleSides):
-    """(*points, sides) as floats: the sides through float_sides, then each point's
-    weights; GeometryError for a weight that has no float image."""
-    floats = float_sides(sides.as_tuple())
-    images = []
-    for point in points:
-        try:
-            images.append(BaryPoint(*(float(t) for t in point.as_tuple())))
-        except OverflowError as exc:
-            raise GeometryError(_message(
-                "weights ({!r}, {!r}, {!r}) have no float image", *point.as_tuple())) from exc
-    return (*images, floats)
+    """(*points, sides) as floats: each exact object replaced by its float image,
+    the sides first; GeometryError for a weight that has no float image."""
+    floats = sides if sides.ints is None else float_sides(sides.as_tuple())
+    return (*(point if point.ints is None else
+              BaryPoint(*_floats(point.as_tuple(), GeometryError, _NO_FLOAT_WEIGHTS))
+              for point in points), floats)
 
 
 def derive_elements(sides: TriangleSides) -> TriangleElements:
     """Semiperimeter, area, circumradius, inradius and exradii: the square roots
-    of the float context, the triangle's own for float sides, else its float
+    of the float context, the triangle's own in float mode, else its float
     image's (DegenerateTriangle when the sides have no valid float image)."""
-    a, b, c = sides.as_tuple()
-    context = sides if float is type(a) is type(b) is type(c) else float_sides((a, b, c))
+    context = sides if sides.ints is None else float_sides(sides.as_tuple())
     s, (gap_a, gap_b, gap_c) = context.s, context.gaps
     area = math.sqrt(context.area2)
     return TriangleElements(
@@ -347,12 +361,16 @@ def circum_power(t: BaryPoint, sides: TriangleSides):
     Uses the cleared-denominator form, so zero weights (points on the
     sidelines) are fine.
     """
+    if (t.ints is None) != (sides.ints is None):  # one_mode's rule, inline on a hot path
+        t, sides = float_mode(t, sides=sides)
     return _in_float_range(_quadratic_form(t.normalized(), sides.a, sides.b, sides.c),
                            "R^2 - OP^2")
 
 
 def dist_sq_between(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
     """Squared distance between two finite barycentric points."""
+    if not (p.ints is None) == (q.ints is None) == (sides.ints is None):  # as in circum_power
+        p, q, sides = float_mode(p, q, sides=sides)
     p1, p2, p3 = p.normalized()
     q1, q2, q3 = q.normalized()
     return _in_float_range(
@@ -366,6 +384,7 @@ def lagrange_point_dist_sq(t: BaryPoint, ma_sq, mb_sq, mc_sq, sides: TriangleSid
     the point weighted by t.  The combination below is the cleared-denominator
     form of the weighted-average identity, legal for zero weights.
     """
+    t, sides = one_mode(t, sides=sides)
     n = t.normalized()
     return _in_float_range(
         n[0] * ma_sq + n[1] * mb_sq + n[2] * mc_sq - _quadratic_form(n, *sides.as_tuple()), "MP^2")
@@ -377,6 +396,7 @@ def bergstrom_bound(t: BaryPoint, sides: TriangleSides):
     The normalized weights must all be positive; equality holds exactly when
     the weights are proportional to the side lengths.
     """
+    t, sides = one_mode(t, sides=sides)
     n1, n2, n3 = t.normalized()
     if n1 <= 0 or n2 <= 0 or n3 <= 0:
         raise NonPositiveWeights(

@@ -183,8 +183,9 @@ def test_float_cevian_rank_calls_no_pow_keep_exact(monkeypatch):
     monkeypatch.setattr(centers, "pow_keep_exact", counted)
     for rank in ((2, -1, 3), (0.5, 0.0, -1.5), (Fraction(1, 3), 2, Fraction(-2))):
         centers.cevian_rank(*rank, RIGHT)
+    centers.cevian_rank(1, 0, 0, TriangleSides(Fraction(3), 4.0, 5.0))  # mixed sides are floats
     assert calls == []
-    centers.cevian_rank(1, 0, 0, TriangleSides(Fraction(3), 4.0, 5.0))  # mixed sides: per factor
+    centers.cevian_rank(1, 0.5, 0, TriangleSides(3, 4, 5))  # exact sides, a float rank: per factor
     assert len(calls) == 9
 
 

@@ -86,7 +86,7 @@ class TestCircumcenter:
         assert oracle.circumcenter_xy(RIGHT) == pytest.approx((1.5, 2.0), abs=1e-14)
         assert oracle.circumradius_sq(RIGHT) == pytest.approx(6.25, abs=1e-14)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.integers(min_value=0, max_value=10**9))
     def test_equidistant_from_vertices(self, seed):
         placement = oracle.place_triangle(*triangle_sides(random.Random(seed)))

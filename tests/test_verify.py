@@ -346,17 +346,17 @@ def test_pow_keep_exact_calls_per_thousand_contexts(monkeypatch):
 
 
 def test_no_mode_conversion_in_the_harness_or_the_angle_rounds(monkeypatch):
-    """The harness and one float and one exact angle round of perfbench make only
-    all-float or all-Fraction angle calls, so kernel.one_mode, which converts
-    every other input, is never called."""
+    """The harness and one float and one exact angle round of perfbench never put
+    an exact object and a float one in one call, so kernel.float_mode, which gives
+    the exact ones their float images, never converts one."""
     calls = [0]
-    original = kernel.one_mode
+    original = kernel.float_mode
 
     def counted(*points, sides):
-        calls[0] += 1
+        calls[0] += any(x.ints is not None for x in (*points, sides))
         return original(*points, sides=sides)
 
-    monkeypatch.setattr(kernel, "one_mode", counted)
+    monkeypatch.setattr(kernel, "float_mode", counted)
     assert _run_fuzz(FuzzConfig(count=200, seed=7), 1).contexts == 1000
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
@@ -366,6 +366,8 @@ def test_no_mode_conversion_in_the_harness_or_the_angle_rounds(monkeypatch):
         reports = workloads.evaluate_angles(workloads.library_cases(cases, exact))
         assert reports and not any(isinstance(r, Exception) for r in reports)
     assert calls[0] == 0
-    sides = TriangleSides(Fraction(3), Fraction(4), Fraction(5))
+    sides = TriangleSides(3, 4, 5)
     blundon.cos_angle_at_circumcenter(BaryPoint(3, 4, 5), centers.incenter(sides), sides)
-    assert calls[0] == 1  # int weights on Fraction sides are converted once
+    assert calls[0] == 0  # int weights and sides are exact
+    blundon.cos_angle_at_circumcenter(BaryPoint(3.0, 4, 5), centers.incenter(sides), sides)
+    assert calls[0] == 1  # a float point on exact sides is converted once
