@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import kernel
+from .centers import vertex_index
 from .errors import DegenerateTriangle, DegenerateVertexAngle, EquilateralDegenerate, UndefinedAngle
 from .kernel import BaryPoint, TriangleElements, TriangleSides
 
@@ -305,7 +306,7 @@ def fundamental_slack_sq(sides: TriangleSides):
 def dual_cos_parts(vertex: str, sides: TriangleSides):
     """(numerator, radicand) of cos at O between the excenter and adjoint
     points opposite the given vertex, rational in the sides."""
-    _, r_sq, rr_v, rv_sq = kernel.euler_terms(sides, getattr(sides, vertex.lower()))
+    _, r_sq, rr_v, rv_sq = kernel.euler_terms(sides, sides.as_tuple()[vertex_index(vertex)])
     quarter = kernel.power_sum(sides, 2) / 4
     numerator = r_sq - 3 * rr_v - rv_sq - quarter
     # ((R + 2 r_v) sqrt(R^2 + 2 R r_v))^2 without individual square roots
@@ -328,7 +329,7 @@ def dual_bound_residual(vertex: str, elements: TriangleElements) -> float:
     # cross-check of dual_slack_sq.
     sides = elements.sides
     big_r = elements.circumradius
-    r_v = getattr(elements, "exradius_" + vertex.lower())
+    r_v = (elements.exradius_a, elements.exradius_b, elements.exradius_c)[vertex_index(vertex)]
     quarter = float(kernel.power_sum(sides, 2)) / 4.0
     envelope = big_r * big_r - 3.0 * big_r * r_v - r_v * r_v
     reach = (big_r + 2.0 * r_v) * math.sqrt(big_r * big_r + 2.0 * big_r * r_v)
@@ -381,9 +382,10 @@ def rank_pair_parts(k1, k2, sides: TriangleSides):
     """(numerator, radicand) of cos at O for the rank-k1 and rank-k2 points.
 
     Built from power sums rather than BaryPoint plumbing, so it serves as an
-    independent specialization of the general path.  Exact for integer ranks
-    with rational sides.
+    independent specialization of the general path.  The call runs in the number
+    mode of kernel.rank_mode: exact for integral ranks on exact sides.
     """
+    sides = kernel.rank_mode(sides, k1, k2)
     # Re-derives the legs and the quadratic form on purpose: an independent cross-check.
     r_sq = kernel.circumradius_sq(sides)
     (p1, p2, p3), p_power = _rank_point(k1, sides)

@@ -1,8 +1,8 @@
 """Catalog of triangle centers and related point generators.
 
 Every generator returns homogeneous :class:`~tribary.kernel.BaryPoint`
-weights.  Like the kernel, the generators are duck-typed: exact side
-lengths give exact weights as long as the requested exponents are integers.
+weights in the number mode of its sides, except that a non-integral rank on
+exact sides computes on their float image (:func:`~tribary.kernel.rank_mode`).
 For exact sides each generator builds the point's integer weights
 straight from the triangle's integer context (A, B, C), its gaps 2 lam (s - a)
 and its perimeter, and its Fraction weights from those the triangle holds or
@@ -25,9 +25,17 @@ from typing import Optional
 
 from .errors import CenterSpecError, GeometryError, InputError
 from .kernel import (BaryPoint, TriangleSides, float_sides, past_digit_limit, pow_keep_exact,
-                     refuse_huge_power)
+                     rank_mode, refuse_huge_power)
 
 VERTICES = ("A", "B", "C")
+
+
+def vertex_index(vertex) -> int:
+    """0, 1, 2 for the vertex A, B, C; CenterSpecError for anything else."""
+    if vertex not in VERTICES:
+        raise CenterSpecError(f"vertex must be A, B, or C, got {vertex!r}")
+    return VERTICES.index(vertex)
+
 
 _ONE = Fraction(1)
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
@@ -46,8 +54,7 @@ class CenterSpec:
             raise CenterSpecError(f"unknown point kind {self.kind!r}")
         _, takes_vertex, n_params = _KINDS[self.kind]
         if takes_vertex:
-            if self.vertex not in VERTICES:
-                raise CenterSpecError(f"{self.kind} needs a vertex A, B, or C, got {self.vertex!r}")
+            vertex_index(self.vertex)
         elif self.vertex is not None:
             raise CenterSpecError(f"{self.kind} does not take a vertex")
         if len(self.params) != n_params:
@@ -108,7 +115,7 @@ def excenter(vertex: str, sides: TriangleSides) -> BaryPoint:
         return BaryPoint(a, -b, c)
     elif vertex == "C":
         return BaryPoint(a, b, -c)
-    raise CenterSpecError(f"vertex must be A, B, or C, got {vertex!r}")
+    vertex_index(vertex)  # raises: A, B and C returned above
 
 
 def adjoint_nagel(vertex: str, sides: TriangleSides) -> BaryPoint:
@@ -135,39 +142,35 @@ def adjoint_nagel(vertex: str, sides: TriangleSides) -> BaryPoint:
         return BaryPoint(-gap_c, s, -gap_a)
     elif vertex == "C":
         return BaryPoint(-gap_b, -gap_a, s)
-    raise CenterSpecError(f"vertex must be A, B, or C, got {vertex!r}")
+    vertex_index(vertex)  # raises: A, B and C returned above
 
 
 def cevian_rank(k, l, m, sides: TriangleSides) -> BaryPoint:
     """Weights a^k (s-a)^l (b+c)^m : b^k (s-b)^l (a+c)^m : c^k (s-c)^l (a+b)^m.
 
     Rank (0,0,0) is the centroid, (1,0,0) the incenter, (2,0,0) the Lemoine
-    point, and (0,1,0) the Nagel point.  Exact sides of a scalene or
-    isosceles triangle with integral ranks take :func:`_integer_cevian_rank`.
+    point, and (0,1,0) the Nagel point.  In kernel.rank_mode's number mode, exact
+    sides of a scalene or isosceles triangle take :func:`_integer_cevian_rank`.
     """
+    sides = rank_mode(sides, k, l, m)
     ints = sides.ints
-    if (ints is not None and not ints[0] == ints[1] == ints[2]
-            and k % 1 == 0 and l % 1 == 0 and m % 1 == 0):
+    if ints is not None and not ints[0] == ints[1] == ints[2]:
         return _integer_cevian_rank(int(k), int(l), int(m), sides)
     a, b, c = sides.as_tuple()
     gap_a, gap_b, gap_c = sides.gaps
-    w_a = None
-    if ints is None:  # float sides: pow_keep_exact of a float base is base ** e
-        try:
-            w_a = a ** k * gap_a ** l * (b + c) ** m
-            w_b = b ** k * gap_b ** l * (a + c) ** m
-            w_c = c ** k * gap_c ** l * (a + b) ** m
-        except OverflowError:  # pow_keep_exact below names the base and exponent
-            w_a = None
-    if w_a is None:
-        try:  # exact sides: an exact factor times a float one is a float, and may not fit
-            w_a = pow_keep_exact(a, k) * pow_keep_exact(gap_a, l) * pow_keep_exact(b + c, m)
-            w_b = pow_keep_exact(b, k) * pow_keep_exact(gap_b, l) * pow_keep_exact(a + c, m)
-            w_c = pow_keep_exact(c, k) * pow_keep_exact(gap_c, l) * pow_keep_exact(a + b, m)
-        except OverflowError as exc:
-            raise GeometryError("cevian weights leave the float range") from exc
+    if ints is not None:  # an equilateral triangle: the Fraction powers
+        w_a = pow_keep_exact(a, k) * pow_keep_exact(gap_a, l) * pow_keep_exact(b + c, m)
+        w_b = pow_keep_exact(b, k) * pow_keep_exact(gap_b, l) * pow_keep_exact(a + c, m)
+        w_c = pow_keep_exact(c, k) * pow_keep_exact(gap_c, l) * pow_keep_exact(a + b, m)
+        return BaryPoint(w_a, w_b, w_c)
+    try:
+        w_a = a ** k * gap_a ** l * (b + c) ** m
+        w_b = b ** k * gap_b ** l * (a + c) ** m
+        w_c = c ** k * gap_c ** l * (a + b) ** m
+    except OverflowError as exc:
+        raise GeometryError("cevian weights leave the float range") from exc
     # Positive bases: float weights can only underflow, and subnormal ones lose digits.
-    if w_a < _FLOAT_MIN and w_b < _FLOAT_MIN and w_c < _FLOAT_MIN and isinstance(w_a, float):
+    if w_a < _FLOAT_MIN and w_b < _FLOAT_MIN and w_c < _FLOAT_MIN:
         raise GeometryError("cevian weights leave the float range")
     return BaryPoint(w_a, w_b, w_c)
 

@@ -3,10 +3,10 @@
 A triangle or point decides its number mode once, in its constructor: three
 values that are each an ``int`` or a ``fractions.Fraction`` are stored as
 Fractions (exact mode), any other three as floats (float mode), and a value
-without a float image raises.  ``x.ints is None`` is the one mode test.
-:func:`one_mode` keeps the objects of one call exact when all are, else takes
-the float images of :func:`float_mode`, as the metrics here do for a point and
-a triangle in different modes.
+without a float image raises.  ``x.ints is None`` is the one mode test.  A call
+stays exact when all its objects are (:func:`one_mode`, which the metrics here
+inline) and its exponents are integral (:func:`rank_mode`), else it takes the
+float images of :func:`float_mode` and :func:`float_sides`.
 
 The squared-level quantities here (area squared, squared circumradius, squared
 distances, the circumcircle power) are rational functions of the side lengths,
@@ -132,9 +132,10 @@ class TriangleSides:
         if exact:
             h = perimeter * twice[0] * twice[1] * twice[2]  # Heron
             xyz, lam_sq, half = x * y * z, lam * lam, 2 * lam
+            abc_sq = xyz * xyz
             s, gaps = Fraction(perimeter, half), tuple(Fraction(g, half) for g in twice)
             abc, area2 = Fraction(xyz, lam_sq * lam), Fraction(h, 16 * lam_sq * lam_sq)
-            r_sq = Fraction(xyz ** 2, h * lam_sq)
+            r_sq = Fraction(abc_sq, h * lam_sq)
         else:
             s = perimeter / 2
             gaps = (s - a, s - b, s - c)
@@ -152,7 +153,7 @@ class TriangleSides:
         setattr_(self, "r_sq", r_sq)
         if exact:  # after the shared names, in their order, so instances share keys
             for item in zip(("ints", "lam", "h", "abc_sq", "twice"),
-                            ((x, y, z), lam, h, xyz ** 2, twice)):
+                            ((x, y, z), lam, h, abc_sq, twice)):
                 setattr_(self, *item)
 
     def as_tuple(self):
@@ -265,13 +266,13 @@ def pow_keep_exact(base, exponent):
     so a power it lets through is under about twice the limit.
     """
     try:
-        if isinstance(base, float):  # int and Fraction exponents end in the same float power
+        # A float base or a non-integral exponent gives a float power; Fraction.__pow__
+        # converts an exact base and the exponent to float itself.
+        if isinstance(base, float) or exponent % 1:
             return base ** exponent
-        if exponent % 1 == 0:
-            n = int(exponent)
-            refuse_huge_power(base, n)
-            return base ** n
-        return float(base) ** float(exponent)
+        n = int(exponent)
+        refuse_huge_power(base, n)
+        return base ** n
     except OverflowError as exc:
         raise GeometryError(_message("{} ** {} leaves the float range", base, exponent)) from exc
 
@@ -321,6 +322,13 @@ def float_mode(*points: BaryPoint, sides: TriangleSides):
     return (*(point if point.ints is None else
               BaryPoint(*_floats(point.as_tuple(), GeometryError, _NO_FLOAT_WEIGHTS))
               for point in points), floats)
+
+
+def rank_mode(sides: TriangleSides, *ranks) -> TriangleSides:
+    """sides, or their float image when they are exact and a rank is not integral."""
+    if sides.ints is not None and any(rank % 1 for rank in ranks):
+        return float_sides(sides.as_tuple())
+    return sides
 
 
 def derive_elements(sides: TriangleSides) -> TriangleElements:

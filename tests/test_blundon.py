@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from tribary import blundon, centers, kernel, oracle
 from tribary.errors import (
+    CenterSpecError,
     DegenerateTriangle,
     DegenerateVertexAngle,
     EquilateralDegenerate,
@@ -679,6 +680,19 @@ class TestDualFamily:
             for vertex in ("A", "B", "C"):
                 assert blundon.dual_bound_residual(vertex, el) >= -1e-9 * el.circumradius**2
 
+    @pytest.mark.parametrize("vertex", ["H", "Lam", "S", "D", "a", "", "AB", None])
+    @pytest.mark.parametrize("call, triangle", [
+        (blundon.dual_cos_parts, EXACT_RIGHT),
+        (blundon.dual_slack_sq, RIGHT),
+        (blundon.excenter_adjoint_cos, RIGHT_EL),
+        (blundon.dual_bound_residual, RIGHT_EL),
+    ], ids=["dual_cos_parts", "dual_slack_sq", "excenter_adjoint_cos", "dual_bound_residual"])
+    def test_only_a_b_c_are_vertices(self, call, triangle, vertex):
+        # "H" and "Lam" once read the triangle's context fields h and lam as a side
+        message = f"vertex must be A, B, or C, got {vertex!r}"
+        with pytest.raises(CenterSpecError, match=re.escape(message)):
+            call(vertex, triangle)
+
     def test_exact_slack_values(self):
         assert blundon.dual_slack_sq("A", EXACT_RIGHT) == Fraction(49)
         for vertex in ("A", "B", "C"):
@@ -702,6 +716,58 @@ class TestDualFamily:
             sides = random_sides(rng)
             exact = TriangleSides(*(Fraction(v).limit_denominator(10**5) for v in sides.as_tuple()))
             assert blundon.exradii_identity_residual(exact) == 0
+
+
+_RANKS = {
+    "int": st.integers(-6, 6),
+    "Fraction": st.fractions(-6, 6, max_denominator=8),
+    "float": st.floats(-6.0, 6.0),
+}
+
+
+@st.composite
+def _exact_sides_and_ranks(draw):
+    """(exact side values, three ranks): int or Fraction sides from gaps u, v, w,
+    and each rank an int, a Fraction or a float."""
+    gap = draw(st.sampled_from([st.integers(1, 10**6),
+                                st.fractions(Fraction(1, 1000), 1000, max_denominator=10**4)]))
+    u, v, w = (draw(gap) for _ in range(3))
+    ranks = tuple(draw(_RANKS[draw(st.sampled_from(sorted(_RANKS)))]) for _ in range(3))
+    return (v + w, w + u, u + v), ranks
+
+
+_RANK_CALLS = ((centers.cevian_rank, 3), (blundon.rank_pair_parts, 2), (blundon.rank_pair_cos, 2))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_exact_sides_and_ranks())
+@example(((Fraction(3, 5), Fraction(7, 10), Fraction(4, 5)), (Fraction(1, 2), 1, 0)))  # the CLI's
+@example(((3, 4, 5), (-400.5, 0, 0)))  # S_k^2 underflows
+@example(((1, 1, 1), (Fraction(1, 2), 2, 1)))  # equilateral: the rank points sit at O
+def test_non_integral_ranks_on_exact_sides_use_their_float_image(drawn):
+    """A non-integral rank on exact sides gives what the call gives on their float
+    image: the same repr with the same ranks, or the same exception and message.
+    When every rank has an exact float image, the ranks as floats give the same
+    repr too, or an exception of the same type (its message prints the rank).
+    Integral ranks on exact sides stay exact."""
+    abc, ranks = drawn
+    sides = TriangleSides(*abc)
+    twin = kernel.float_sides(abc)
+    for call, n in _RANK_CALLS:
+        if not any(rank % 1 for rank in ranks[:n]):
+            continue
+        outcome = _outcome(call, *ranks[:n], sides)
+        assert outcome == _outcome(call, *ranks[:n], twin)
+        if all(float(rank) == rank for rank in ranks[:n]):  # 2 - k rounds alike
+            float_outcome = _outcome(call, *map(float, ranks[:n]), twin)
+            if type(outcome) is str:
+                assert outcome == float_outcome
+            else:
+                assert outcome[0] == float_outcome[0]
+    if not any(rank % 1 for rank in ranks):
+        point = centers.cevian_rank(*ranks, sides)
+        assert point.ints is not None and all(type(t) is Fraction for t in point.as_tuple())
+        assert all(type(v) is Fraction for v in blundon.rank_pair_parts(*ranks[:2], sides))
 
 
 class TestRankPairs:

@@ -138,8 +138,11 @@ def _per_factor_cevian(k, l, m, sides: TriangleSides) -> BaryPoint:
     """cevian_rank on float sides with one pow_keep_exact per factor: the route
     the single-expression weights must equal."""
     (a, b, c), gaps, power = sides.as_tuple(), sides.gaps, kernel.pow_keep_exact
-    weights = [power(side, k) * power(gap, l) * power(rest, m)
-               for side, gap, rest in zip((a, b, c), gaps, (b + c, a + c, a + b))]
+    try:
+        weights = [power(side, k) * power(gap, l) * power(rest, m)
+                   for side, gap, rest in zip((a, b, c), gaps, (b + c, a + c, a + b))]
+    except GeometryError as exc:  # pow_keep_exact names the power that overflows
+        raise GeometryError("cevian weights leave the float range") from exc
     if all(w < sys.float_info.min for w in weights):
         raise GeometryError("cevian weights leave the float range")
     return BaryPoint(*weights)
@@ -184,8 +187,11 @@ def test_float_cevian_rank_calls_no_pow_keep_exact(monkeypatch):
     for rank in ((2, -1, 3), (0.5, 0.0, -1.5), (Fraction(1, 3), 2, Fraction(-2))):
         centers.cevian_rank(*rank, RIGHT)
     centers.cevian_rank(1, 0, 0, TriangleSides(Fraction(3), 4.0, 5.0))  # mixed sides are floats
+    centers.cevian_rank(1, 0.5, 0, TriangleSides(3, 4, 5))  # a float rank: the float image
     assert calls == []
-    centers.cevian_rank(1, 0.5, 0, TriangleSides(3, 4, 5))  # exact sides, a float rank: per factor
+    centers.cevian_rank(2, 0.5, 0, TriangleSides(1, 1, 1))
+    assert calls == []
+    centers.cevian_rank(2, -1, 3, TriangleSides(1, 1, 1))  # exact and equilateral: per factor
     assert len(calls) == 9
 
 

@@ -27,6 +27,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _without_spec(fmt: str, out: str):
+    """A `center` output without the fields that echo the spec text."""
+    if fmt == "json":
+        data = json.loads(out)
+        del data["spec"], data["params"]
+        return data
+    if fmt == "csv":
+        header, row = list(csv.reader(io.StringIO(out)))
+        return {key: value for key, value in zip(header, row)
+                if key != "spec" and not key.startswith("params.")}
+    return [line for line in out.splitlines() if not line.startswith("params:")]
+
+
 def exact_bound_triple(fmt: str, out: str, keep_undefined: bool = False):
     """(lower, middle, upper) of a `cos` or `bounds` output as exact rationals,
     or None when the classification is undefined, unless keep_undefined.  The
@@ -338,16 +351,24 @@ class TestCos:
 
     @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
     @pytest.mark.parametrize("points", [
-        ("cos", "--p", "cevian:{},0,0", "--q", "incenter"),
-        ("triple", "--p1", "cevian:{},0,0", "--p2", "incenter", "--p3", "centroid"),
-    ], ids=["cos", "triple"])
+        ("3,4,5", "cos", "--p", "cevian:{},0,0", "--q", "incenter"),
+        ("3,4,5", "triple", "--p1", "cevian:{},0,0", "--p2", "incenter", "--p3", "centroid"),
+        ("0.6,0.7,0.8", "cos", "--p", "cevian:{},1,0", "--q", "incenter"),
+        ("0.6,0.7,0.8", "triple", "--p1", "cevian:{},1,0", "--p2", "incenter",
+         "--p3", "centroid"),
+        ("0.6,0.7,0.8", "center", "--spec", "cevian:{},1,0"),
+    ], ids=["cos", "triple", "scalene-cos", "scalene-triple", "scalene-center"])
     def test_exact_call_with_a_float_point_runs_in_float_mode(self, capsys, points, fmt):
-        # a rank of 1/2 gives float weights, so the exact call is the float call
-        command, *flags = points
-        exact = run_cli(capsys, command, "--exact", "--sides", "3,4,5", "--format", fmt,
+        # a rank of 1/2 gives float weights, so the exact call is the float call,
+        # also where one rank is integral and another is not
+        sides, command, *flags = points
+        exact = run_cli(capsys, command, "--exact", "--sides", sides, "--format", fmt,
                         *(flag.format("1/2") for flag in flags))
-        floats = run_cli(capsys, command, "--sides", "3,4,5", "--format", fmt,
+        floats = run_cli(capsys, command, "--sides", sides, "--format", fmt,
                          *(flag.format("0.5") for flag in flags))
+        if command == "center":  # the spec and its params are echoed as typed
+            exact, floats = ((code, _without_spec(fmt, out), err)
+                             for code, out, err in (exact, floats))
         assert exact == floats
         assert exact[0] == 0
 

@@ -4,12 +4,14 @@ Numeric fixtures for the (3, 4, 5) triangle were frozen from the Cartesian
 oracle: circumcenter (1.5, 2), incenter (2, 1), squared circumradius 6.25.
 """
 
+import ast
 import dataclasses
 import math
 import pickle
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -619,6 +621,16 @@ def test_int_and_fraction_sides_take_the_exact_route(k):
                                                centers.nagel_point(sides), sides)
     assert all(type(v) is Fraction
                for v in (report.op_sq, report.oq_sq, report.pq_sq, report.bounds.middle))
+
+
+@pytest.mark.parametrize("module", [centers, blundon], ids=["centers", "blundon"])
+def test_ints_is_the_only_mode_test_outside_the_kernel(module):
+    """The kernel's constructors decide the number mode; the generators and the
+    angle routes read it as ``x.ints is None`` and never test a value's type."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id in ("isinstance", "type")]
+    assert calls == []
 
 
 def _verification_report():
