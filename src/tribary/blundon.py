@@ -404,6 +404,7 @@ def rank_pair_cos(k1, k2, sides: TriangleSides) -> float:
     Raises UndefinedAngle when either point sits at O (equilateral triangles
     put every rank point there), DegenerateTriangle past the float range.
     """
+    sides = kernel.rank_mode(sides, k1, k2)  # the threshold reads the parts' triangle
     numerator, radicand = rank_pair_parts(k1, k2, sides)
     r_sq = _to_float(sides.r_sq, "R^2")
     # Range first: past it 4 eps^2 R^4 is infinite too, and every radicand falls below it.

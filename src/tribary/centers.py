@@ -158,11 +158,10 @@ def cevian_rank(k, l, m, sides: TriangleSides) -> BaryPoint:
         return _integer_cevian_rank(int(k), int(l), int(m), sides)
     a, b, c = sides.as_tuple()
     gap_a, gap_b, gap_c = sides.gaps
-    if ints is not None:  # an equilateral triangle: the Fraction powers
-        w_a = pow_keep_exact(a, k) * pow_keep_exact(gap_a, l) * pow_keep_exact(b + c, m)
-        w_b = pow_keep_exact(b, k) * pow_keep_exact(gap_b, l) * pow_keep_exact(a + c, m)
-        w_c = pow_keep_exact(c, k) * pow_keep_exact(gap_c, l) * pow_keep_exact(a + b, m)
-        return BaryPoint(w_a, w_b, w_c)
+    if ints is not None:  # an equilateral triangle: equal weights of one set of Fraction powers
+        p_k, p_l, p_m = pow_keep_exact(a, k), pow_keep_exact(gap_a, l), pow_keep_exact(b + c, m)
+        # Three products, not one weight thrice: a shared object would change the pickle.
+        return BaryPoint(p_k * p_l * p_m, p_k * p_l * p_m, p_k * p_l * p_m)
     try:
         w_a = a ** k * gap_a ** l * (b + c) ** m
         w_b = b ** k * gap_b ** l * (a + c) ** m

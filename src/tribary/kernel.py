@@ -130,9 +130,8 @@ class TriangleSides:
             raise DegenerateTriangle(
                 _message("triangle inequality fails for ({}, {}, {})", a, b, c))
         if exact:
-            h = perimeter * twice[0] * twice[1] * twice[2]  # Heron
             xyz, lam_sq, half = x * y * z, lam * lam, 2 * lam
-            abc_sq = xyz * xyz
+            h, abc_sq = perimeter * twice[0] * twice[1] * twice[2], xyz * xyz  # Heron, (ABC)^2
             s, gaps = Fraction(perimeter, half), tuple(Fraction(g, half) for g in twice)
             abc, area2 = Fraction(xyz, lam_sq * lam), Fraction(h, 16 * lam_sq * lam_sq)
             r_sq = Fraction(abc_sq, h * lam_sq)

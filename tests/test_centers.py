@@ -191,8 +191,8 @@ def test_float_cevian_rank_calls_no_pow_keep_exact(monkeypatch):
     assert calls == []
     centers.cevian_rank(2, 0.5, 0, TriangleSides(1, 1, 1))
     assert calls == []
-    centers.cevian_rank(2, -1, 3, TriangleSides(1, 1, 1))  # exact and equilateral: per factor
-    assert len(calls) == 9
+    centers.cevian_rank(2, -1, 3, TriangleSides(1, 1, 1))  # exact and equilateral: one weight
+    assert len(calls) == 3
 
 
 class TestCevianTriangle:
