@@ -152,13 +152,12 @@ class _Cleared(NamedTuple):
 def _clear(p: BaryPoint, q: BaryPoint, sides: TriangleSides) -> _Cleared:
     """The integers of _Cleared, for exact sides and points."""
     h, abc_sq, lam, (a, b, c) = sides.h, sides.abc_sq, sides.lam, sides.ints
-    (p1, p2, p3), (q1, q2, q3) = p.ints, q.ints
-    sp, sq = p1 + p2 + p3, q1 + q2 + q3
+    diff, sp, sq = kernel._displacement_ints(p, q)
     sp_sq, sq_sq = sp * sp, sq * sq
     form = kernel._quadratic_form
     n_p = abc_sq * sp_sq - h * form(p.ints, a, b, c)
     n_q = abc_sq * sq_sq - h * form(q.ints, a, b, c)
-    f_d = form((sq * p1 - sp * q1, sq * p2 - sp * q2, sq * p3 - sp * q3), a, b, c)
+    f_d = form(diff, a, b, c)
     m = n_p * sq_sq + n_q * sp_sq + h * f_d
     return _Cleared(abc_sq, h * lam * lam, lam * lam, sp_sq, sq_sq, n_p, n_q, f_d, m)
 

@@ -10,11 +10,13 @@ float images of :func:`float_mode` and :func:`float_sides`.
 
 The squared-level quantities here (area squared, squared circumradius, squared
 distances, the circumcircle power) are rational functions of the side lengths,
-so every function that stays at the squared level is written once with plain
-arithmetic and works unchanged in either mode.  Only :func:`derive_elements`
-takes square roots and therefore always produces floats: it reads the float
-context, the triangle's own in float mode, else that of :func:`float_sides`,
-the validated float image of any sides.
+so each is written once with plain arithmetic.  Float mode evaluates it on the
+float values.  Exact :func:`circum_power` and :func:`dist_sq_between` evaluate
+the same quadratic form on the integer contexts below and divide once, as
+``blundon._clear`` does; the other squared-level functions run unchanged on
+the Fractions.  Only :func:`derive_elements` takes square roots and therefore
+always produces floats: it reads the float context, the triangle's own in float
+mode, else that of :func:`float_sides`, the validated float image of any sides.
 
 Triangles and points build a context at construction, outside ``==``, ``hash``
 and ``repr``.  :class:`TriangleSides` caches ``s``, ``gaps`` (s - a, s - b, s - c),
@@ -57,6 +59,10 @@ EPS_TRIANGLE = 1e-12
 EPS_EQUILATERAL = 1e-12
 
 _BITS_PER_DIGIT = math.log2(10)
+
+# An exact value with a numerator or denominator past this many bits (about 39
+# digits) is named by its size in error messages, not printed.
+_LONG_BITS = 128
 
 
 def _message(pattern: str, *values) -> str:
@@ -273,7 +279,17 @@ def pow_keep_exact(base, exponent):
         refuse_huge_power(base, n)
         return base ** n
     except OverflowError as exc:
-        raise GeometryError(_message("{} ** {} leaves the float range", base, exponent)) from exc
+        raise GeometryError(f"{_sized(base, 'an exact base')} ** "
+                            f"{_sized(exponent, 'an exact exponent')} leaves the float range") from exc
+
+
+def _sized(value, name: str) -> str:
+    """str(value), or name and size for an exact value past _LONG_BITS bits."""
+    if isinstance(value, (int, Fraction)):
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        if bits > _LONG_BITS:
+            return f"{name} of {bits} bits"
+    return str(value)
 
 
 def past_digit_limit(bits: int, n: int) -> bool:
@@ -355,6 +371,14 @@ def _quadratic_form(n, a, b, c):
     return y * z * (a * a) + z * x * (b * b) + x * y * (c * c)
 
 
+def _displacement_ints(p: BaryPoint, q: BaryPoint):
+    """(sigma_Q P - sigma_P Q, sigma_P, sigma_Q) on the coprime weights of exact
+    points: PQ^2 is -F of that vector over (A, B, C) / (sigma_P sigma_Q lam)^2."""
+    (p1, p2, p3), (q1, q2, q3) = p.ints, q.ints
+    sp, sq = p1 + p2 + p3, q1 + q2 + q3
+    return (sq * p1 - sp * q1, sq * p2 - sp * q2, sq * p3 - sp * q3), sp, sq
+
+
 def _in_float_range(value, name: str):
     """value; DegenerateTriangle when it is a float that is not finite."""
     if type(value) is float and not abs(value) < math.inf:
@@ -370,6 +394,9 @@ def circum_power(t: BaryPoint, sides: TriangleSides):
     """
     if (t.ints is None) != (sides.ints is None):  # one_mode's rule, inline on a hot path
         t, sides = float_mode(t, sides=sides)
+    if sides.ints is not None:  # F(t) over (A, B, C), divided once by (sigma lam)^2
+        den = sum(t.ints) * sides.lam
+        return Fraction(_quadratic_form(t.ints, *sides.ints), den * den)
     return _in_float_range(_quadratic_form(t.normalized(), sides.a, sides.b, sides.c),
                            "R^2 - OP^2")
 
@@ -378,6 +405,10 @@ def dist_sq_between(p: BaryPoint, q: BaryPoint, sides: TriangleSides):
     """Squared distance between two finite barycentric points."""
     if not (p.ints is None) == (q.ints is None) == (sides.ints is None):  # as in circum_power
         p, q, sides = float_mode(p, q, sides=sides)
+    if sides.ints is not None:  # -F(sigma_Q P - sigma_P Q) / (sigma_P sigma_Q lam)^2
+        diff, sp, sq = _displacement_ints(p, q)
+        den = sp * sq * sides.lam
+        return Fraction(-_quadratic_form(diff, *sides.ints), den * den)
     p1, p2, p3 = p.normalized()
     q1, q2, q3 = q.normalized()
     return _in_float_range(

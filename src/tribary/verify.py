@@ -115,48 +115,60 @@ _SCALE_LAMBDAS = (2.0, -1.0, 1e-6)
 
 
 def _exact_decade(rng: random.Random) -> Fraction:
-    """An exact rational close to 10**u for u uniform on [-8, -3]."""
+    """An exact rational close to 10**u for u uniform on [-8, -3].
+
+    ``10.0 ** x`` goes through the C library's pow, which need not round
+    correctly; that changes a draw only when a one-ulp error crosses a 1e-6
+    rounding boundary of the mantissa, about 1e-10 per draw, so it stays.
+    """
     u = rng.uniform(-8.0, -3.0)
-    exponent = math.floor(u)
+    exponent = math.floor(u)  # at most -3
     mantissa = 10.0 ** (u - exponent)
-    return Fraction(round(mantissa * _DENOM), _DENOM) * Fraction(10) ** exponent
+    return Fraction(round(mantissa * _DENOM), _DENOM * 10 ** -exponent)
 
 
-def _perimeter_two(trip) -> TriangleSides:
-    """The triangle with sides proportional to trip and perimeter 2."""
-    total = trip[0] + trip[1] + trip[2]
-    return TriangleSides(*(2 * v / total for v in trip))
+# The samplers below draw integers and rescale them in integers, so each side
+# is one Fraction, built once.
+
+
+def _perimeter_two(x: int, y: int, z: int) -> TriangleSides:
+    """The triangle with sides proportional to the positive ints x, y, z and perimeter 2."""
+    total = x + y + z
+    return TriangleSides(Fraction(2 * x, total), Fraction(2 * y, total), Fraction(2 * z, total))
 
 
 def _uniform_sides(rng: random.Random) -> TriangleSides:
-    while True:
-        trip = sorted(Fraction(rng.randint(50_000, _DENOM), _DENOM) for _ in range(3))
-        x, y, z = trip
-        if x + y - z > (x + y + z) * Fraction(1, 10 ** 10):
-            return _perimeter_two(trip)
+    while True:  # sides x, y, z over _DENOM
+        x, y, z = sorted(rng.randint(50_000, _DENOM) for _ in range(3))
+        if (x + y - z) * 10 ** 10 > x + y + z:
+            return _perimeter_two(x, y, z)
 
 
 def _near_degenerate_sides(rng: random.Random) -> TriangleSides:
     gap = _exact_decade(rng)
-    w = Fraction(rng.randint(350_000, 650_000), _DENOM)
-    long_side = 1 - gap / 2
-    return TriangleSides((long_side + gap) * w, (long_side + gap) * (1 - w), long_side)
+    w = rng.randint(350_000, 650_000)  # over _DENOM
+    num, den = gap.numerator, 2 * gap.denominator  # gap / 2 = num / den
+    long_num = den + num  # the long side plus the gap, 1 + gap / 2, over den
+    return TriangleSides(Fraction(long_num * w, den * _DENOM),
+                         Fraction(long_num * (_DENOM - w), den * _DENOM),
+                         Fraction(den - num, den))
 
 
 def _near_equilateral_sides(rng: random.Random) -> TriangleSides:
     diff = _exact_decade(rng)
-    w = Fraction(rng.randint(0, _DENOM), _DENOM)
-    return _perimeter_two((Fraction(1), 1 + diff * w, 1 + diff))
+    w = rng.randint(0, _DENOM)  # over _DENOM
+    one = diff.denominator * _DENOM  # 1, 1 + diff w and 1 + diff over one
+    return _perimeter_two(one, one + diff.numerator * w, one + diff.numerator * _DENOM)
 
 
 def _isosceles_sides(rng: random.Random) -> TriangleSides:
-    while True:
-        leg = Fraction(rng.randint(50_000, _DENOM), _DENOM)
-        base = Fraction(rng.randint(50_000, _DENOM), _DENOM)
-        if base < 2 * leg * Fraction(999_999, 1_000_000):
+    while True:  # leg and base over _DENOM
+        leg = rng.randint(50_000, _DENOM)
+        base = rng.randint(50_000, _DENOM)
+        if base * 1_000_000 < 2 * leg * 999_999:
             break
     arrangements = ((leg, leg, base), (leg, base, leg), (base, leg, leg))
-    return _perimeter_two(arrangements[rng.randrange(3)])
+    return _perimeter_two(*arrangements[rng.randrange(3)])
 
 
 def _integer_sides(rng: random.Random) -> TriangleSides:
@@ -534,17 +546,20 @@ def _check(suite: str, tolerance: float, note: Optional[str] = None):
 
 
 def _parts_agree(parts_one, parts_two) -> bool:
-    """Exact coherence of two (numerator, radicand) pairs.
+    """Exact coherence of two (numerator, radicand) pairs of ints or Fractions.
 
     cos = num / sqrt(rad) agree exactly when the numerators share a sign
-    and num1^2 rad2 == num2^2 rad1; this never takes a square root, so it
-    stays inside rational arithmetic.
+    and num1^2 rad2 == num2^2 rad1; this never takes a square root.  Both
+    sides of the equation are cross-multiplied over their denominators, in
+    ints.
     """
     num1, rad1 = parts_one
     num2, rad2 = parts_two
     if (num1 > 0) != (num2 > 0) or (num1 < 0) != (num2 < 0):
         return False
-    return num1 * num1 * rad2 == num2 * num2 * rad1
+    n1, d1, n2, d2 = num1.numerator, num1.denominator, num2.numerator, num2.denominator
+    return (n1 * n1 * d2 * d2 * rad2.numerator * rad1.denominator
+            == n2 * n2 * d1 * d1 * rad1.numerator * rad2.denominator)
 
 
 def _exact(ok: bool, miss: float = 1.0) -> tuple:

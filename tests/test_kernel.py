@@ -199,6 +199,19 @@ class TestPowerSum:
         with pytest.raises(GeometryError, match="exponent ... would pass"):
             kernel.pow_keep_exact(Fraction(2), Fraction(10**4300))
 
+    @pytest.mark.parametrize("base, exponent, message", [
+        (Fraction(10**400), 0.5, "an exact base of 1329 bits ** 0.5 leaves the float range"),
+        (Fraction(10**400), Fraction(10**400 + 1, 2),
+         "an exact base of 1329 bits ** an exact exponent of 1329 bits leaves the float range"),
+        (Fraction(2**127), 8.5, "170141183460469231731687303715884105728 ** 8.5 "
+                                "leaves the float range"),
+        (1e300, 2.5, "1e+300 ** 2.5 leaves the float range"),
+    ], ids=["long base", "long base and exponent", "128-bit base printed", "float base"])
+    def test_overflow_message_names_a_long_value_by_its_size(self, base, exponent, message):
+        with pytest.raises(GeometryError) as info:
+            kernel.pow_keep_exact(base, exponent)
+        assert str(info.value) == message
+
     def test_first_and_second_moments(self):
         assert kernel.power_sum(RIGHT, 1) == pytest.approx(12.0)
         assert kernel.power_sum(RIGHT, 2) == pytest.approx(50.0)
@@ -609,6 +622,35 @@ def test_constructors_decide_one_mode(abc, p, q):
         assert twin == built and hash(twin) == hash(built)
     if float not in {type(v) for v in (*abc, *p, *q)}:
         assert _report(abc, p, q) == _report(*(tuple(map(Fraction, v)) for v in (abc, p, q)))
+
+
+_EXACT_VALUE = st.one_of(_VALUE["int"], _VALUE["Fraction"])
+_EXACT_WEIGHTS = st.tuples(_EXACT_VALUE, _EXACT_VALUE, _EXACT_VALUE)
+_POSITIVE = st.one_of(st.integers(1, 40),
+                      st.builds(Fraction, st.integers(1, 4000), st.integers(1, 999)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.tuples(_POSITIVE, _POSITIVE, _POSITIVE), _EXACT_WEIGHTS, _EXACT_WEIGHTS)
+@example((1, 2, 3), (1, 0, 0), (0, -1, 3))  # int sides, a vertex, a zero weight
+@example((Fraction(1, 3), Fraction(5, 2), 2), (1, -3, 1), (Fraction(-1, 2), 2, -4))  # sums < 0
+def test_exact_legs_equal_the_fraction_form(xyz, p, q):
+    """Exact circum_power and dist_sq_between, evaluated on the integer contexts,
+    equal the quadratic form on the normalized Fraction weights and the Fraction
+    sides, and return Fractions.  The sides (y + z, z + x, x + y) always form a
+    triangle."""
+    x, y, z = xyz
+    try:
+        sides, p, q = TriangleSides(y + z, z + x, x + y), BaryPoint(*p), BaryPoint(*q)
+    except PointAtInfinity:
+        assume(False)
+    a, b, c = sides.as_tuple()
+    pn, qn = p.normalized(), q.normalized()
+    power = kernel._quadratic_form(pn, a, b, c)
+    dist_sq = -kernel._quadratic_form([u - v for u, v in zip(pn, qn)], a, b, c)
+    got_power, got_dist_sq = kernel.circum_power(p, sides), kernel.dist_sq_between(p, q, sides)
+    assert type(got_power) is type(got_dist_sq) is Fraction
+    assert (got_power, got_dist_sq) == (power, dist_sq)
 
 
 @pytest.mark.parametrize("k", range(3, 9))

@@ -1,8 +1,10 @@
 """Tests for the seeded fuzz verification harness."""
 
 import hashlib
+import math
 import os
 import random
+import sys
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -106,6 +108,117 @@ class TestSamplers:
         one = _uniform_sides(random.Random("7:uniform:3"))
         two = _uniform_sides(random.Random("7:uniform:3"))
         assert one == two
+
+    @pytest.mark.parametrize("stratum", VALID_STRATA)
+    def test_integer_draws_give_the_fraction_samplers_sides(self, stratum):
+        """Each sampler returns the TriangleSides, of Fractions, and leaves the RNG
+        state of its reference sampler in Fraction arithmetic below."""
+        sampler, reference = verify._SAMPLERS[stratum], _FRACTION_SAMPLERS[stratum]
+        for key in range(500):
+            rng, twin = random.Random(f"7:{stratum}:{key}"), random.Random(f"7:{stratum}:{key}")
+            sides, expected = sampler(rng), reference(twin)
+            assert sides == expected and rng.getstate() == twin.getstate()
+            assert all(type(v) is Fraction for v in sides.as_tuple())
+
+
+# Reference samplers: the same draws, rescaled in Fraction arithmetic.
+
+
+def _fraction_decade(rng):
+    u = rng.uniform(-8.0, -3.0)
+    exponent = math.floor(u)
+    mantissa = 10.0 ** (u - exponent)
+    return Fraction(round(mantissa * 10**6), 10**6) * Fraction(10) ** exponent
+
+
+def _fraction_perimeter_two(trip):
+    total = trip[0] + trip[1] + trip[2]
+    return TriangleSides(*(2 * v / total for v in trip))
+
+
+def _fraction_uniform(rng):
+    while True:
+        trip = sorted(Fraction(rng.randint(50_000, 10**6), 10**6) for _ in range(3))
+        x, y, z = trip
+        if x + y - z > (x + y + z) * Fraction(1, 10 ** 10):
+            return _fraction_perimeter_two(trip)
+
+
+def _fraction_near_degenerate(rng):
+    gap = _fraction_decade(rng)
+    w = Fraction(rng.randint(350_000, 650_000), 10**6)
+    long_side = 1 - gap / 2
+    return TriangleSides((long_side + gap) * w, (long_side + gap) * (1 - w), long_side)
+
+
+def _fraction_near_equilateral(rng):
+    diff = _fraction_decade(rng)
+    w = Fraction(rng.randint(0, 10**6), 10**6)
+    return _fraction_perimeter_two((Fraction(1), 1 + diff * w, 1 + diff))
+
+
+def _fraction_isosceles(rng):
+    while True:
+        leg = Fraction(rng.randint(50_000, 10**6), 10**6)
+        base = Fraction(rng.randint(50_000, 10**6), 10**6)
+        if base < 2 * leg * Fraction(999_999, 1_000_000):
+            break
+    arrangements = ((leg, leg, base), (leg, base, leg), (base, leg, leg))
+    return _fraction_perimeter_two(arrangements[rng.randrange(3)])
+
+
+def _fraction_integer(rng):
+    while True:
+        trip = sorted(rng.randint(1, 60) for _ in range(3))
+        x, y, z = trip
+        if x + y > z:
+            return TriangleSides(Fraction(x), Fraction(y), Fraction(z))
+
+
+_FRACTION_SAMPLERS = {
+    "uniform": _fraction_uniform,
+    "near_degenerate": _fraction_near_degenerate,
+    "near_equilateral": _fraction_near_equilateral,
+    "isosceles": _fraction_isosceles,
+    "integer_sides": _fraction_integer,
+}
+
+
+def _fraction_parts_agree(parts_one, parts_two):
+    """verify._parts_agree in Fraction arithmetic."""
+    (num1, rad1), (num2, rad2) = parts_one, parts_two
+    if (num1 > 0) != (num2 > 0) or (num1 < 0) != (num2 < 0):
+        return False
+    return num1 * num1 * rad2 == num2 * num2 * rad1
+
+
+def test_parts_agree_matches_the_fraction_cross_product():
+    """On random exact parts (ints, Fractions, zero numerators, opposite signs,
+    and pairs scaled to agree), the integer cross-multiplication gives the
+    Fraction test's answer."""
+    rng = random.Random("parts")
+
+    def value():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-50, 50)
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+
+    agreeing = 0
+    for _ in range(4000):
+        num, rad = value(), abs(value())
+        if rng.random() < 0.5:  # num k : rad k^2 agrees; a sign flip or a nudge does not
+            k = Fraction(rng.randint(1, 999), rng.randint(1, 999))
+            other = (num * k * rng.choice((1, 1, -1)), rad * k * k + rng.choice((0, 0, 1)))
+        else:
+            other = (value(), abs(value()))
+        expected = _fraction_parts_agree((num, rad), other)
+        assert verify._parts_agree((num, rad), other) is expected
+        assert verify._parts_agree(other, (num, rad)) is expected
+        agreeing += expected
+    assert 1000 < agreeing < 3000
 
 
 class TestLoadCorpus:
@@ -343,6 +456,31 @@ def test_pow_keep_exact_calls_per_thousand_contexts(monkeypatch):
     report = _run_fuzz(FuzzConfig(count=200, seed=7), 1)
     assert report.contexts == 1000
     assert 0 < calls[0] <= 71_074
+
+
+def test_fraction_and_gcd_calls_per_thousand_contexts():
+    """The samplers, the exact legs and _parts_agree work in ints, so 1000
+    contexts make at most 32,565 Fraction constructions and 44,788 math.gcd
+    calls (50,876 and 76,289 in Fraction arithmetic).  A profile hook counts
+    entries into Fraction.__new__ and C calls of math.gcd."""
+    calls = {"new": 0, "gcd": 0}
+    new_code = Fraction.__new__.__code__
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is new_code:
+            calls["new"] += 1
+        elif event == "c_call" and arg is math.gcd:
+            calls["gcd"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        report = _run_fuzz(FuzzConfig(count=200, seed=7), 1)
+    finally:
+        sys.setprofile(previous)
+    assert report.contexts == 1000
+    assert 0 < calls["new"] <= 32_565
+    assert 0 < calls["gcd"] <= 44_788
 
 
 def test_no_mode_conversion_in_the_harness_or_the_angle_rounds(monkeypatch):
